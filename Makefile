@@ -1,6 +1,6 @@
-# Convenience targets; CI runs the same commands (see .github/workflows/ci.yml).
+# Convenience targets; CI calls these (see .github/workflows/ci.yml).
 
-.PHONY: test lint race build
+.PHONY: test lint race build loc
 
 build:
 	go build ./...
@@ -9,8 +9,7 @@ test:
 	go build ./... && go test ./...
 
 # lint runs the persistence-discipline analyzers (internal/lint) through
-# the go vet driver, exactly as CI does. Equivalent one-liner:
-#   go build -o /tmp/persistlint ./cmd/persistlint && go vet -vettool=/tmp/persistlint ./...
+# the go vet driver.
 lint:
 	go build -o /tmp/persistlint ./cmd/persistlint
 	go vet -vettool=/tmp/persistlint ./...
@@ -18,3 +17,8 @@ lint:
 race:
 	go test -race -short ./...
 	go test -race -count=1 ./internal/history ./internal/ingress
+
+# loc prints the non-blank, non-comment source line count outside bench/,
+# tests and lint fixtures: the number simplification PRs are measured by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './internal/lint/testdata/*' -print0 | xargs -0 cat | grep -vcE '^\s*(//|$$)'

@@ -136,11 +136,56 @@ func packedGeom(T int, perProducer uint64, shards, batchMax int) (segNodes, nseg
 	return
 }
 
+// chainApplier is a queue or stack batch applier over a packed pool.
+type chainApplier = func(c *capsule.Ctx, vals []uint64)
+
+// chainEnv is what runChainBatched hands a structure constructor.
+type chainEnv struct {
+	mem   *pmem.Memory
+	space rcas.CasSpace
+	arena *qnode.Arena
+	P     int
+	setup *pmem.Port
+	seed  uint32 // initial contents
+}
+
 func runQueueBatched(cfg Config) Result {
+	return runChainBatched(KindQueueBatched, ingress.OpEnqueue, seedNodes(cfg), cfg,
+		func(e chainEnv) func(*qnode.PackedPool) chainApplier {
+			q := pqueue.NewGeneral(pqueue.Config{
+				Mem: e.mem, Space: e.space, Arena: e.arena, P: e.P, Durable: true, Opt: true,
+			})
+			q.Init(e.setup, pqueue.DummyNode+e.seed)
+			if e.seed > 0 {
+				q.Seed(e.setup, pqueue.DummyNode+1, e.seed, func(i uint32) uint64 { return uint64(i) })
+			}
+			return func(np *qnode.PackedPool) chainApplier { return pqueue.BatchEnqueuer(q, np) }
+		})
+}
+
+func runStackBatched(cfg Config) Result {
+	return runChainBatched(KindStackBatched, ingress.OpPush, uint32(cfg.Param("stack-seed")), cfg,
+		func(e chainEnv) func(*qnode.PackedPool) chainApplier {
+			s := pstack.New(pstack.Config{
+				Mem: e.mem, Space: e.space, Arena: e.arena, P: e.P, Durable: true, Opt: true,
+			})
+			s.Init(e.setup, 1+e.seed)
+			if e.seed > 0 {
+				s.Seed(e.setup, 1, e.seed, func(i uint32) uint64 { return uint64(i) })
+			}
+			return func(np *qnode.PackedPool) chainApplier { return pstack.BatchPusher(s, np) }
+		})
+}
+
+// runChainBatched is the one runner of the two chain-batched kinds,
+// which differ only in the structure (build constructs and seeds it,
+// then yields one applier per combiner pool) and the op code producers
+// publish.
+func runChainBatched(kind string, op uint8, seed uint32, cfg Config,
+	build func(chainEnv) func(*qnode.PackedPool) chainApplier) Result {
 	shards, batchMax := batchGeom(cfg)
 	T := cfg.Threads
 	P := T + shards
-	seed := seedNodes(cfg)
 	perProducer := uint64(cfg.Pairs) * 2
 
 	// Combiners allocate exclusively from per-combiner packed pools
@@ -160,33 +205,16 @@ func runQueueBatched(cfg Config) Result {
 	})
 	rt := proc.NewRuntime(mem, P)
 	arena := qnode.NewArena(mem, arenaCap)
-	q := pqueue.NewGeneral(pqueue.Config{
-		Mem: mem, Space: rcas.NewSpace(mem, P), Arena: arena, P: P,
-		Durable: true, Opt: true,
-	})
-	setup := mem.NewPort()
-	q.Init(setup, pqueue.DummyNode+seed)
-	if seed > 0 {
-		q.Seed(setup, pqueue.DummyNode+1, seed, func(i uint32) uint64 { return uint64(i) })
-	}
+	applier := build(chainEnv{mem: mem, space: rcas.NewSpace(mem, P), arena: arena, P: P, setup: mem.NewPort(), seed: seed})
 
 	pool := ingress.NewPool(shards, ringCapacity(batchMax), batchMax, T)
 	reg := capsule.NewRegistry()
 	bases := capsule.AllocProcAreas(mem, P)
-	combiners := make([]capsule.RoutineID, shards)
 	for s := 0; s < shards; s++ {
-		vals := make([]uint64, batchMax)
-		enqueue := pqueue.BatchEnqueuer(q, qnode.NewPackedPool(mem, arena, segNodes, nseg, P))
-		combiners[s] = ingress.RegisterCombiner(reg, fmt.Sprintf("combine-q%d", s), pool, s,
-			func(c *capsule.Ctx, batch []ingress.Record) {
-				for i := range batch {
-					vals[i] = batch[i].A
-				}
-				enqueue(c, vals[:len(batch)])
-			})
-	}
-	for s := 0; s < shards; s++ {
-		capsule.Install(rt.Proc(T+s).Mem(), bases[T+s], reg, combiners[s])
+		apply := applier(qnode.NewPackedPool(mem, arena, segNodes, nseg, P))
+		comb := ingress.RegisterGroupCombiner(reg, fmt.Sprintf("combine-%d", s), pool, s,
+			ingress.ChainApplier(batchMax, apply), nil)
+		capsule.Install(rt.Proc(T+s).Mem(), bases[T+s], reg, comb)
 	}
 
 	start := time.Now()
@@ -200,89 +228,13 @@ func runQueueBatched(cfg Config) Result {
 			ring := pool.Shard(i % shards).Ring
 			spin := func() { p.Step() }
 			for k := uint64(0); k < perProducer; k++ {
-				ring.Publish(ingress.Record{
-					Op: ingress.OpEnqueue, Pid: int32(i),
-					A: uint64(i)<<40 | k,
-				}, spin)
+				ring.Publish(ingress.Record{Op: op, Pid: int32(i), A: uint64(i)<<40 | k}, spin)
 				p.Step()
 			}
 			pool.MarkDone(i)
 		}
 	})
-	return collect(KindQueueBatched, cfg, rt, start)
-}
-
-func runStackBatched(cfg Config) Result {
-	shards, batchMax := batchGeom(cfg)
-	T := cfg.Threads
-	P := T + shards
-	seed := uint32(cfg.Param("stack-seed"))
-	perProducer := uint64(cfg.Pairs) * 2
-
-	// See runQueueBatched: per-combiner packed pools, minimal base arena.
-	segNodes, nseg := packedGeom(T, perProducer, shards, batchMax)
-	arenaCap := seed + 8
-	words := uint64(arenaCap+8)*pmem.WordsPerLine +
-		uint64(shards)*qnode.PackedWords(segNodes, nseg) +
-		uint64(P)*capsule.ProcWords + 1<<16
-	mem := pmem.New(pmem.Config{
-		Words:      words,
-		Mode:       pmem.Shared,
-		FlushDelay: cfg.FlushDelay,
-		FenceDelay: cfg.FenceDelay,
-	})
-	rt := proc.NewRuntime(mem, P)
-	arena := qnode.NewArena(mem, arenaCap)
-	s := pstack.New(pstack.Config{
-		Mem: mem, Space: rcas.NewSpace(mem, P), Arena: arena, P: P,
-		Durable: true, Opt: true,
-	})
-	setup := mem.NewPort()
-	s.Init(setup, 1+seed)
-	if seed > 0 {
-		s.Seed(setup, 1, seed, func(i uint32) uint64 { return uint64(i) })
-	}
-
-	pool := ingress.NewPool(shards, ringCapacity(batchMax), batchMax, T)
-	reg := capsule.NewRegistry()
-	bases := capsule.AllocProcAreas(mem, P)
-	combiners := make([]capsule.RoutineID, shards)
-	for sh := 0; sh < shards; sh++ {
-		vals := make([]uint64, batchMax)
-		push := pstack.BatchPusher(s, qnode.NewPackedPool(mem, arena, segNodes, nseg, P))
-		combiners[sh] = ingress.RegisterCombiner(reg, fmt.Sprintf("combine-s%d", sh), pool, sh,
-			func(c *capsule.Ctx, batch []ingress.Record) {
-				for i := range batch {
-					vals[i] = batch[i].A
-				}
-				push(c, vals[:len(batch)])
-			})
-	}
-	for sh := 0; sh < shards; sh++ {
-		capsule.Install(rt.Proc(T+sh).Mem(), bases[T+sh], reg, combiners[sh])
-	}
-
-	start := time.Now()
-	rt.RunToCompletion(func(i int) proc.Program {
-		if i >= T {
-			return func(p *proc.Proc) {
-				capsule.NewMachine(p, reg, bases[i]).Run()
-			}
-		}
-		return func(p *proc.Proc) {
-			ring := pool.Shard(i % shards).Ring
-			spin := func() { p.Step() }
-			for k := uint64(0); k < perProducer; k++ {
-				ring.Publish(ingress.Record{
-					Op: ingress.OpPush, Pid: int32(i),
-					A: uint64(i)<<40 | k,
-				}, spin)
-				p.Step()
-			}
-			pool.MarkDone(i)
-		}
-	})
-	return collect(KindStackBatched, cfg, rt, start)
+	return collect(kind, cfg, rt, start)
 }
 
 func runMapBatched(kind string, cfg Config) Result {

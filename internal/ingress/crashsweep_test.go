@@ -57,36 +57,13 @@ type sweepRig struct {
 
 func (r *sweepRig) crashed() bool { return r.rt.Proc(0).Restarts() > 0 }
 
-// combinerRig wires the shared skeleton: a pool with one shard, the
-// batch pre-published from the host (host atomics, zero instrumented
-// steps), one combiner proc. apply is the family's batch applier.
-func combinerRig(mem *pmem.Memory, rt *proc.Runtime, apply func(c *capsule.Ctx, batch []ingress.Record), recs []ingress.Record) func() {
-	pool := ingress.NewPool(1, 16, sweepBatch, 1)
-	for _, rec := range recs {
-		pool.Shard(0).Ring.Publish(rec, nil)
-	}
-	pool.MarkDone(0)
-	reg := capsule.NewRegistry()
-	bases := capsule.AllocProcAreas(mem, 1)
-	comb := ingress.RegisterCombiner(reg, "sweep-comb", pool, 0, apply)
-	capsule.Install(rt.Proc(0).Mem(), bases[0], reg, comb)
-	return func() {
-		rt.RunToCompletion(func(int) proc.Program {
-			return func(p *proc.Proc) {
-				if p.PeekCrashed() {
-					return // freeze at first crash: the sweep inspects post-crash state
-				}
-				capsule.NewMachine(p, reg, bases[0]).Run()
-			}
-		})
-		rt.Proc(0).Disarm()
-	}
-}
-
-// groupRig is combinerRig for group-commit appliers: the combiner holds
-// completions until the applier's window closes (here at the idle
-// boundary after the single batch).
-func groupRig(mem *pmem.Memory, rt *proc.Runtime, apply ingress.GroupApply, closeWin func(c *capsule.Ctx), recs []ingress.Record) func() {
+// combinerRig wires the shared skeleton over the one combiner loop: a
+// pool with one shard, the batch pre-published from the host (host
+// atomics, zero instrumented steps), one combiner proc. apply is the
+// family's batch applier; a group-commit applier's completions are held
+// until its window closes through closeWin (here at the idle boundary
+// after the single batch).
+func combinerRig(mem *pmem.Memory, rt *proc.Runtime, apply ingress.GroupApply, closeWin func(c *capsule.Ctx), recs []ingress.Record) func() {
 	pool := ingress.NewPool(1, 16, sweepBatch, 1)
 	for _, rec := range recs {
 		pool.Shard(0).Ring.Publish(rec, nil)
@@ -100,7 +77,7 @@ func groupRig(mem *pmem.Memory, rt *proc.Runtime, apply ingress.GroupApply, clos
 		rt.RunToCompletion(func(int) proc.Program {
 			return func(p *proc.Proc) {
 				if p.PeekCrashed() {
-					return
+					return // freeze at first crash: the sweep inspects post-crash state
 				}
 				capsule.NewMachine(p, reg, bases[0]).Run()
 			}
@@ -157,13 +134,7 @@ func queueRig(mode pmem.Mode) *sweepRig {
 	for i := range recs {
 		recs[i] = ingress.Record{Op: ingress.OpEnqueue, A: sweepVal(i)}
 	}
-	vals := make([]uint64, sweepBatch)
-	run := combinerRig(mem, rt, func(c *capsule.Ctx, batch []ingress.Record) {
-		for i := range batch {
-			vals[i] = batch[i].A
-		}
-		enqueue(c, vals[:len(batch)])
-	}, recs)
+	run := combinerRig(mem, rt, ingress.ChainApplier(sweepBatch, enqueue), nil, recs)
 	return &sweepRig{rt: rt, run: run, applied: func(t *testing.T) int {
 		want := make([]uint64, sweepBatch)
 		for i := range want {
@@ -195,13 +166,7 @@ func stackRig(mode pmem.Mode) *sweepRig {
 	for i := range recs {
 		recs[i] = ingress.Record{Op: ingress.OpPush, A: sweepVal(i)}
 	}
-	vals := make([]uint64, sweepBatch)
-	run := combinerRig(mem, rt, func(c *capsule.Ctx, batch []ingress.Record) {
-		for i := range batch {
-			vals[i] = batch[i].A
-		}
-		push(c, vals[:len(batch)])
-	}, recs)
+	run := combinerRig(mem, rt, ingress.ChainApplier(sweepBatch, push), nil, recs)
 	return &sweepRig{rt: rt, run: run, applied: func(t *testing.T) int {
 		want := make([]uint64, sweepBatch)
 		for i := range want {
@@ -233,7 +198,7 @@ func mapRig(mode pmem.Mode) *sweepRig {
 	}
 	ops := make([]pmap.BatchOp, sweepBatch)
 	rig := &sweepRig{rt: rt, subset: true}
-	rig.run = groupRig(mem, rt, func(c *capsule.Ctx, batch []ingress.Record) bool {
+	rig.run = combinerRig(mem, rt, func(c *capsule.Ctx, batch []ingress.Record) bool {
 		for i := range batch {
 			ops[i] = pmap.BatchOp{Del: batch[i].Op == ingress.OpDelete, K: batch[i].A, V: batch[i].B}
 		}

@@ -256,91 +256,77 @@ func (pl *Pool) Reset() {
 	}
 }
 
-// RegisterCombiner registers shard `shard`'s combiner as a compact
-// capsule routine: drain up to BatchMax records, hand the whole batch
-// to the family applier inside this one capsule span, and only then
-// release completions and close the span with one compact boundary.
-//
-// The applier must end with the batch's durability point (a
-// PersistEpoch covering the batch's commit words); the combiner stores
-// completion tokens strictly after apply returns, so a producer that
-// observes its token knows its operation is durable. A crash inside
-// apply replays the capsule, but the drained records are gone from the
-// ring — the batch's operations either became durable wholesale at the
-// applier's commit or are lost with the ring, never re-executed.
-//
-// The combiner finishes when every producer is done and its ring has
-// drained empty.
-func RegisterCombiner(reg *capsule.Registry, name string, pool *Pool, shard int,
-	apply func(c *capsule.Ctx, batch []Record)) capsule.RoutineID {
-	sh := pool.shards[shard]
-	return reg.Register(name, true, func(c *capsule.Ctx) {
-		var batch []Record
-		for {
-			if n := sh.Ring.Drain(sh.buf); n > 0 {
-				batch = sh.buf[:n]
-				break
-			}
-			if pool.AllDone() && sh.Ring.Empty() {
-				c.Finish()
-				return
-			}
-			// Instrumented idle step: crash injection and step-gap
-			// accounting see the combiner even while it waits.
-			c.P().Step()
-			runtime.Gosched()
-		}
-		apply(c, batch)
-		c.Mem().NoteBatch(uint64(len(batch)))
-		for i := range batch {
-			if batch[i].Done != nil {
-				batch[i].Done.Store(batch[i].Token)
-			}
-		}
-		c.Boundary(0)
-	})
-}
-
-// GroupApply applies a batch whose durability may be deferred past the
-// span: it returns true while swings of a group-commit window still
-// await their close fence, false once everything applied so far is
-// durable.
+// GroupApply applies one drained batch inside the combiner's capsule
+// span and reports whether its durability is deferred past the span: it
+// returns true while swings of a group-commit window still await their
+// close fence, false once everything applied so far is durable.
 type GroupApply func(c *capsule.Ctx, batch []Record) (deferred bool)
 
-// RegisterGroupCombiner is RegisterCombiner for group-commit appliers
-// (the wcas batch tier): completion tokens are held back while the
-// applier's deferral window is open, and released only after a close —
-// either the applier's own auto-close (apply returns false), or the
-// closeWin hook this combiner runs when its ring idles or finishes
-// while completions are pending. A producer that observes its token
-// therefore still knows its operation is durable, even though the
-// window amortizes one Ptr-persist fence over many batches.
-//
-// Crash interactions: a full-system crash advances the shard epoch
-// (Pool.Reset); the held-back records are dropped with it — their
-// producers re-drive or abandon through the windowed two-phase
-// protocol, and the deferred window they were waiting on died with the
-// volatile state. A combiner-process crash replays the span; the
-// held-back list is host state and survives, so its tokens release at
-// the next close exactly as if the crash had not happened.
-func RegisterGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard int,
-	apply GroupApply, closeWin func(c *capsule.Ctx)) capsule.RoutineID {
-	return registerGroupCombiner(reg, name, pool, shard, apply, closeWin, groupIdleGrace)
+// RegisterCombiner registers shard `shard`'s combiner for an applier
+// that never defers: apply must end with the batch's durability point
+// (a PersistEpoch covering the batch's commit words), so the one loop
+// below holds nothing and stores completion tokens inside the span,
+// strictly after apply returns.
+func RegisterCombiner(reg *capsule.Registry, name string, pool *Pool, shard int,
+	apply func(c *capsule.Ctx, batch []Record)) capsule.RoutineID {
+	return RegisterGroupCombiner(reg, name, pool, shard,
+		func(c *capsule.Ctx, batch []Record) bool { apply(c, batch); return false }, nil)
 }
 
-// groupIdleGrace is how many consecutive empty ring polls a group
-// combiner tolerates before it treats the ring as genuinely idle and
-// closes the deferral window. A momentary gap between producer
-// publishes must not trigger a close — every premature close fence is
-// a full Ptr-persist pass, and closing once per batch collapses the
-// window to the batch size, forfeiting the amortization the group tier
-// exists for. Each poll is an instrumented Step, so the grace bounds
-// the extra ack latency (and the crash-gap budget it consumes) by the
-// same count.
+// ChainApplier adapts a value-batch applier (pqueue.BatchEnqueuer,
+// pstack.BatchPusher) to the combiner: each record's A word is one
+// value, and the applier's own commit is the durability point, so
+// nothing is ever deferred. The buffer is the combiner's own, sized
+// once.
+func ChainApplier(batchMax int, apply func(c *capsule.Ctx, vals []uint64)) GroupApply {
+	vals := make([]uint64, batchMax)
+	return func(c *capsule.Ctx, batch []Record) bool {
+		for i := range batch {
+			vals[i] = batch[i].A
+		}
+		apply(c, vals[:len(batch)])
+		return false
+	}
+}
+
+// groupIdleGrace is how many consecutive empty ring polls a combiner
+// holding deferred completions tolerates before it treats the ring as
+// genuinely idle and closes the deferral window. A momentary gap
+// between producer publishes must not trigger a close — every premature
+// close fence is a full Ptr-persist pass, and closing once per batch
+// collapses the window to the batch size, forfeiting the amortization
+// the group tier exists for. Each poll is an instrumented Step, so the
+// grace bounds the extra ack latency (and the crash-gap budget it
+// consumes) by the same count.
 const groupIdleGrace = 128
 
-func registerGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard int,
-	apply GroupApply, closeWin func(c *capsule.Ctx), idleGrace int) capsule.RoutineID {
+// RegisterGroupCombiner registers shard `shard`'s combiner as a compact
+// capsule routine — the one drain-apply-ack loop: drain up to BatchMax
+// records, hand the whole batch to the family applier inside this one
+// capsule span, release completions, and close the span with one
+// compact boundary. The combiner finishes when every producer is done
+// and its ring has drained empty.
+//
+// A completion token is stored only once its operation is durable, so a
+// producer that observes its token knows that much. When apply reports
+// deferred, the batch's tokens are held; they are released after a
+// close — either the applier's own auto-close (a later apply returns
+// false) or the closeWin hook, run when the ring stays idle while
+// completions are pending. closeWin may be nil for an applier that
+// never defers.
+//
+// Crash interactions: a crash inside apply replays the capsule, but the
+// drained records are gone from the ring — the batch's operations
+// either became durable at the applier's commit or are lost with the
+// ring, never re-executed. A full-system crash advances the shard epoch
+// (Pool.Reset); the held records are dropped with it — their producers
+// abandon through the windowed two-phase protocol, and the deferred
+// window they were waiting on died with the volatile state. A
+// combiner-process crash replays the span; the held list is host state
+// and survives, so its tokens release at the next close exactly as if
+// the crash had not happened.
+func RegisterGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard int,
+	apply GroupApply, closeWin func(c *capsule.Ctx)) capsule.RoutineID {
 	sh := pool.shards[shard]
 	var held []Record
 	var lastEpoch uint64
@@ -370,7 +356,7 @@ func registerGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard
 				// ring stays dry, rather than leave producers waiting on
 				// a fence that would otherwise only come with more
 				// traffic.
-				if idle++; idle >= idleGrace {
+				if idle++; idle >= groupIdleGrace {
 					closeWin(c)
 					ack(held)
 					held = held[:0]
@@ -381,6 +367,8 @@ func registerGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard
 				c.Finish()
 				return
 			}
+			// Instrumented idle step: crash injection and step-gap
+			// accounting see the combiner even while it waits.
 			c.P().Step()
 			runtime.Gosched()
 		}

@@ -2,44 +2,32 @@ package pmap
 
 import (
 	"fmt"
-	"sync"
 
 	"delayfree/internal/capsule"
 	"delayfree/internal/history"
 	"delayfree/internal/ingress"
-	"delayfree/internal/pmem"
-	"delayfree/internal/proc"
 	"delayfree/internal/workload"
 )
 
-// Crash-stress for the batched ingress front-end of the map family:
-// producers drive puts and deletes through the MPSC ring via the
-// ingress producer driver (see pqueue/batchstress.go for the abandon
-// protocol), the combiner applies batches through the wcas group-commit
-// tier (pmap.NewBatchApplier): line-packed installs behind one install
-// fence, swings with deferred Ptr persistence, one close fence per
-// window. Completion tokens are held until the close
-// (ingress.RegisterGroupCombiner), so a producer that observes its
-// token knows the operation is durable. Unlike the queue and stack
-// batches there is no single commit word, so a crash inside the
-// deferred window may durably apply any *subset* of the unacknowledged
-// operations (each individually atomic, per-line crash prefixes of the
-// swing log); that is a valid outcome because every clipped operation
-// was abandoned by its producer (invoked, never returned —
-// absent-or-once).
+// Crash-stress for the batched ingress front-end of the map family
+// (protocol and accounting: ingress.BatchedStress): producers drive
+// puts and deletes through the ring, the combiner applies batches
+// through the wcas group-commit tier (NewBatchApplier): line-packed
+// installs behind one install fence, swings with deferred Ptr
+// persistence, one close fence per window. Completion tokens are held
+// until the close, so a producer that observes its token knows the
+// operation is durable. Unlike the queue and stack batches there is no
+// single commit word, so a crash inside the deferred window may durably
+// apply any *subset* of the unacknowledged operations (each
+// individually atomic, per-line crash prefixes of the swing log); that
+// is a valid outcome because every clipped operation was abandoned by
+// its producer (invoked, never returned — absent-or-once).
 //
 // Keys are disjoint per producer, so the recovered map must decompose
 // into per-producer last-write states; without an audit the round still
 // checks that every recovered value decodes to a put some producer
 // actually attempted on exactly that key.
 const (
-	batchedShards  = 1
-	batchedMax     = 8
-	batchedRingCap = 64
-	// batchedWindow is the producer drivers' attempt-persistence window:
-	// one durable claim and one durable return/abandon tally per 8
-	// attempts (a crash abandons the whole unacknowledged window).
-	batchedWindow = 8
 	// batchedGroupWindow is the combiner's wcas deferral window: small
 	// enough that close fences land between crash gaps, large enough
 	// that multiple batches share one (the crash sweep and the audit
@@ -54,235 +42,90 @@ func batchedKey(pid int, attempt uint64) uint64 {
 	return uint64(pid)<<32 | (1 + attempt%batchedKeys)
 }
 
-// batchedMapStress runs one round; see the package comment above.
-func batchedMapStress(cfg workload.StressConfig) (workload.StressReport, error) {
-	if cfg.Ops < 0 || cfg.Crashes < 0 {
-		return workload.StressReport{}, fmt.Errorf("pmap: negative Ops/Crashes (%d/%d)", cfg.Ops, cfg.Crashes)
-	}
-	P := cfg.Procs
-	if P <= 0 {
-		P = 4
-	}
-	attempts := uint64(cfg.Ops)
-	if attempts == 0 {
-		attempts = 40
-	}
-	quota := cfg.Crashes
-	if quota == 0 {
+func init() {
+	workload.RegisterStressSpec(ingress.BatchedStress{
+		Name:   "pmap-batched",
+		Family: "map",
 		// 250 per model: the CI smoke runs both failure models, so one
 		// audited sweep certifies ≥ 500 crashes over the group-commit
 		// path.
-		quota = 250
-	}
-	N := P + batchedShards
-	mode := pmem.Private
-	if cfg.Shared {
-		mode = pmem.Shared
-	}
-	words := BatchWords(batchedBuckets, 1, N, batchedShards, 0, batchedGroupWindow) +
-		uint64(N)*capsule.ProcWords + 1<<15
-	mem := pmem.New(pmem.Config{
-		Words:   words,
-		Mode:    mode,
-		Checked: true,
-		Seed:    cfg.Seed,
-	})
-	rt := proc.NewRuntime(mem, N)
-	// Like the unbatched map stresser, crashes are always ganged
-	// ("all processors fail together"): recovery of the writable-CAS
-	// pools is a per-wave pass, and the volatile rings die with the
-	// wave.
-	rt.SystemCrashMode = true
+		Crashes: 250,
+		// Like the unbatched map rounds, crashes are always ganged:
+		// recovery of the writable-CAS pools is a per-wave pass, and the
+		// volatile ring dies with the wave.
+		Gang: true,
+		MinGap: func(n int) int64 {
+			// + 2*buckets: the batcher rebuild scans Ptr once per recovery;
+			// + 4*window: a close fence's FlushAddrs pass must fit the gap.
+			recCost := int64(6*batchedBuckets + 2*n*n + n)
+			return 2*recCost + 1500 + 25*ingress.StressBatchMax + 4*batchedGroupWindow
+		},
+		Words: func(r *workload.Round) uint64 {
+			return BatchWords(batchedBuckets, 1, r.N, 1, 0, batchedGroupWindow) + 1<<15
+		},
+		Build: func(r *workload.Round) ingress.BatchedHooks {
+			m := New(Config{
+				Mem:     r.Mem,
+				P:       r.N,
+				Buckets: batchedBuckets,
+				Shards:  1,
+				Opt:     true,
+				Durable: true,
 
-	m := New(Config{
-		Mem:     mem,
-		P:       N,
-		Buckets: batchedBuckets,
-		Shards:  1,
-		Opt:     true,
-		Durable: true,
-
-		BatchCombiners: batchedShards,
-		BatchWindow:    batchedGroupWindow,
-	})
-	setup := mem.NewPort()
-	m.Init(setup, nil) // empty: the checkers treat unwritten keys as phantoms
-	m.Bind(rt)
-	ba := NewBatchApplier(m)
-
-	minGap, maxGap := cfg.MinGap, cfg.MaxGap
-	if minGap == 0 {
-		// + 2*buckets: the batcher rebuild scans Ptr once per recovery;
-		// + 4*window: a close fence's FlushAddrs pass must fit the gap.
-		recCost := int64(6*batchedBuckets + 2*N*N + N)
-		minGap = 2*recCost + 1500 + 25*batchedMax + 4*batchedGroupWindow
-	}
-	if maxGap < minGap {
-		maxGap = 3 * minGap
-	}
-
-	var rec *history.Recorder
-	if cfg.Audit {
-		// Event volume is gap-driven: producers keep attempting until
-		// the crash quota is met, so size like the queue/stack batched
-		// stressers rather than per nominal attempts.
-		rec = history.NewRecorder(P, history.StressCapacity(int(attempts)+quota*int(maxGap)/15, quota))
-	}
-	pool := ingress.NewPool(batchedShards, batchedRingCap, batchedMax, P)
-	rt.OnSystemCrash = func(uint64) {
-		rec.Crash()
-		pool.Reset()
-	}
-
-	reg := capsule.NewRegistry()
-	bases := capsule.AllocProcAreas(mem, N)
-	keepGoing := func() bool { return rt.SystemCrashes() < uint64(quota) }
-	for i := 0; i < P; i++ {
-		pid := i
-		drv := ingress.RegisterProducerDriver(reg, fmt.Sprintf("pm-batched-prod%d", pid), pool, pid,
-			attempts, batchedWindow, keepGoing,
-			func(attempt uint64) ingress.Attempt {
-				k := batchedKey(pid, attempt)
-				a := ingress.Attempt{Shard: RouteKey(k, batchedShards)}
-				if attempt%3 == 1 {
-					a.Rec = ingress.Record{Op: ingress.OpDelete, A: k}
-					a.HOp = history.OpDelete
-				} else {
-					a.Rec = ingress.Record{Op: ingress.OpPut, A: k, B: uint64(pid)<<40 | attempt}
-					a.HOp = history.OpPut
-				}
-				return a
-			}, rec)
-		capsule.Install(rt.Proc(pid).Mem(), bases[pid], reg, drv)
-	}
-	for s := 0; s < batchedShards; s++ {
-		ops := make([]BatchOp, batchedMax)
-		comb := ingress.RegisterGroupCombiner(reg, fmt.Sprintf("pm-batched-comb%d", s), pool, s,
-			func(c *capsule.Ctx, batch []ingress.Record) bool {
-				for i := range batch {
-					ops[i] = BatchOp{Del: batch[i].Op == ingress.OpDelete, K: batch[i].A, V: batch[i].B}
-				}
-				if !ba.Apply(c, ops[:len(batch)]) {
-					panic("pmap: stress batch rejected; table sized to never fill")
-				}
-				return ba.Deferred(c.P().ID())
-			},
-			func(c *capsule.Ctx) { ba.Close(c.P().ID()) })
-		capsule.Install(rt.Proc(P+s).Mem(), bases[P+s], reg, comb)
-	}
-
-	// One writable-CAS pool recovery per crash wave, before the combiner
-	// resumes writing (producers never touch the map's memory).
-	var recMu sync.Mutex
-	var recEpoch uint64
-	recoverPools := func(p *proc.Proc) {
-		e := rt.SystemCrashes()
-		recMu.Lock()
-		defer recMu.Unlock()
-		if e > recEpoch {
-			m.Recover(p.Mem())
-			recEpoch = e
-		}
-	}
-
-	for i := 0; i < N; i++ {
-		rt.Proc(i).AutoCrash(cfg.Seed*31+int64(i), minGap, maxGap)
-	}
-	rt.RunToCompletion(func(i int) proc.Program {
-		if i >= P {
-			sh := pool.Shard(i - P)
-			return func(p *proc.Proc) {
-				if p.PeekCrashed() {
-					sh.Epoch.Add(1)
-					recoverPools(p)
-				}
-				capsule.NewMachine(p, reg, bases[i]).Run()
+				BatchCombiners: 1,
+				BatchWindow:    batchedGroupWindow,
+			})
+			setup := r.Mem.NewPort()
+			m.Init(setup, nil)
+			m.Bind(r.RT)
+			ba := NewBatchApplier(m)
+			ops := make([]BatchOp, ingress.StressBatchMax)
+			return ingress.BatchedHooks{
+				Attempt: func(pid int, attempt uint64) ingress.Attempt {
+					k := batchedKey(pid, attempt)
+					if attempt%3 == 1 {
+						return ingress.Attempt{Rec: ingress.Record{Op: ingress.OpDelete, A: k}, HOp: history.OpDelete}
+					}
+					return ingress.Attempt{
+						Rec: ingress.Record{Op: ingress.OpPut, A: k, B: uint64(pid)<<40 | attempt},
+						HOp: history.OpPut,
+					}
+				},
+				Apply: func(c *capsule.Ctx, batch []ingress.Record) bool {
+					for i := range batch {
+						ops[i] = BatchOp{Del: batch[i].Op == ingress.OpDelete, K: batch[i].A, V: batch[i].B}
+					}
+					if !ba.Apply(c, ops[:len(batch)]) {
+						panic("pmap: stress batch rejected; table sized to never fill")
+					}
+					return ba.Deferred(c.P().ID())
+				},
+				Close: func(c *capsule.Ctx) { ba.Close(c.P().ID()) },
+				// One writable-CAS pool recovery per crash wave, before the
+				// combiner resumes writing.
+				Wave:  m.Recover,
+				Final: func() history.FinalState { return history.FinalState{Map: m.Dump(setup)} },
+				Check: func(final history.FinalState, idx, _ []uint64) error {
+					// Every recovered value must decode to a put some producer
+					// actually attempted, on exactly the key it was attempted
+					// against.
+					for k, v := range final.Map {
+						pid := int(v >> 40)
+						att := v & (1<<40 - 1)
+						if pid >= len(idx) || att >= idx[pid] {
+							return fmt.Errorf("key %#x holds %#x, which no producer ever wrote (pid=%d attempt=%d)", k, v, pid, att)
+						}
+						if att%3 == 1 {
+							return fmt.Errorf("key %#x holds %#x, which was a delete, not a put", k, v)
+						}
+						if batchedKey(pid, att) != k {
+							return fmt.Errorf("key %#x holds %#x, which was written to key %#x (misplaced operation)",
+								k, v, batchedKey(pid, att))
+						}
+					}
+					return nil
+				},
 			}
-		}
-		return func(p *proc.Proc) {
-			if p.PeekCrashed() {
-				rec.Restart(i)
-			}
-			capsule.NewMachine(p, reg, bases[i]).Run()
-			pool.MarkDone(i)
-		}
-	})
-	for i := 0; i < N; i++ {
-		rt.Proc(i).Disarm()
-	}
-	rt.CrashSystem()
-
-	report := workload.StressReport{Crashes: rt.SystemCrashes(), Stats: rt.TotalStats()}
-	for i := 0; i < N; i++ {
-		report.Restarts += rt.Proc(i).Restarts()
-	}
-	dump := m.Dump(setup)
-
-	if rec != nil {
-		h := rec.History()
-		h.Final.Map = dump
-		meta := history.RunMeta{Stresser: "pmap-batched", Family: "map", Seed: cfg.Seed, Shared: cfg.Shared, Procs: P}
-		if err := workload.Audit(meta, cfg.ArtifactDir, h, nil, report.Stats); err != nil {
-			return report, err
-		}
-	}
-
-	idx := make([]uint64, P)
-	var totalRet uint64
-	for i := 0; i < N; i++ {
-		mach := capsule.NewMachine(rt.Proc(i), reg, bases[i])
-		depth, pc, locals := mach.LoadState()
-		if depth != 0 || pc != capsule.PCDone {
-			return report, fmt.Errorf("proc %d did not finish: depth=%d pc=%d", i, depth, pc)
-		}
-		if i >= P {
-			continue
-		}
-		idx[i] = locals[ingress.SlotIdx]
-		ret := locals[ingress.SlotRet]
-		if idx[i] < attempts {
-			return report, fmt.Errorf("producer %d made %d attempts, round demands at least %d", i, idx[i], attempts)
-		}
-		if ret+locals[ingress.SlotAband] > idx[i] {
-			return report, fmt.Errorf("producer %d accounting broken: returned %d + abandoned %d > attempted %d",
-				i, ret, locals[ingress.SlotAband], idx[i])
-		}
-		report.Ops += ret
-		totalRet += ret
-	}
-
-	// Every recovered value must decode to a put some producer actually
-	// attempted, on exactly the key it was attempted against.
-	for k, v := range dump {
-		pid := int(v >> 40)
-		att := v & (1<<40 - 1)
-		if pid >= P || att >= idx[pid] {
-			return report, fmt.Errorf("key %#x holds %#x, which no producer ever wrote (pid=%d attempt=%d)", k, v, pid, att)
-		}
-		if att%3 == 1 {
-			return report, fmt.Errorf("key %#x holds %#x, which was a delete, not a put", k, v)
-		}
-		if batchedKey(pid, att) != k {
-			return report, fmt.Errorf("key %#x holds %#x, which was written to key %#x (misplaced operation)",
-				k, v, batchedKey(pid, att))
-		}
-	}
-	if totalRet == 0 {
-		return report, fmt.Errorf("no operation completed across %d producers (gaps too tight for progress)", P)
-	}
-	if report.Stats.Batches == 0 {
-		return report, fmt.Errorf("combiner committed no batches")
-	}
-	if rt.SystemCrashes() < uint64(quota) {
-		return report, fmt.Errorf("only %d full-system crashes completed, want %d", rt.SystemCrashes(), quota)
-	}
-	return report, nil
-}
-
-func init() {
-	workload.RegisterStresser(workload.Stresser{
-		Name:   "pmap-batched",
-		Family: "map",
-		Run:    batchedMapStress,
-	})
+		},
+	}.Spec())
 }

@@ -1,6 +1,10 @@
 package pmap
 
-import "testing"
+import (
+	"testing"
+
+	"delayfree/internal/workload"
+)
 
 // TestCrashStressShared is the acceptance workload: ≥1000 full-system
 // crashes across 4 processes in the shared-cache model (every crash
@@ -12,15 +16,12 @@ func TestCrashStressShared(t *testing.T) {
 	if testing.Short() {
 		crashes = 150
 	}
-	rep, err := CrashStress(StressConfig{
-		P:          4,
-		Shards:     2,
-		Buckets:    256,
-		OpsPerProc: 500,
-		Crashes:    crashes,
-		Seed:       1,
-		Shared:     true,
-		Opt:        true,
+	rep, err := workload.RunRound(stressSpec("pmap", stressGeom{shards: 2, buckets: 256, readPct: 25}), workload.StressConfig{
+		Procs:   4,
+		Ops:     500,
+		Crashes: crashes,
+		Seed:    1,
+		Shared:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,15 +41,12 @@ func TestCrashStressPrivate(t *testing.T) {
 	if testing.Short() {
 		crashes = 60
 	}
-	rep, err := CrashStress(StressConfig{
-		P:          4,
-		Shards:     1,
-		Buckets:    128,
-		OpsPerProc: 300,
-		Crashes:    crashes,
-		Seed:       42,
-		Shared:     false,
-		Opt:        false,
+	rep, err := workload.RunRound(stressSpec("pmap", stressGeom{shards: 1, buckets: 128, readPct: 25}), workload.StressConfig{
+		Procs:   4,
+		Ops:     300,
+		Crashes: crashes,
+		Seed:    42,
+		Shared:  false,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,16 +68,12 @@ func TestCrashStressReadHeavy(t *testing.T) {
 	if testing.Short() {
 		crashes = 100
 	}
-	rep, err := CrashStress(StressConfig{
-		P:          4,
-		Shards:     2,
-		Buckets:    256,
-		OpsPerProc: 500,
-		Crashes:    crashes,
-		Seed:       11,
-		Shared:     true,
-		Opt:        true,
-		ReadPct:    90,
+	rep, err := workload.RunRound(stressSpec("pmap", stressGeom{shards: 2, buckets: 256, readPct: 90}), workload.StressConfig{
+		Procs:   4,
+		Ops:     500,
+		Crashes: crashes,
+		Seed:    11,
+		Shared:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,15 +92,12 @@ func TestCrashStressOddGeometry(t *testing.T) {
 	if testing.Short() {
 		crashes = 40
 	}
-	rep, err := CrashStress(StressConfig{
-		P:          3,
-		Shards:     1,
-		Buckets:    137,
-		OpsPerProc: 200,
-		Crashes:    crashes,
-		Seed:       7,
-		Shared:     true,
-		Opt:        false,
+	rep, err := workload.RunRound(stressSpec("pmap", stressGeom{shards: 1, buckets: 137, readPct: 25, fullFrames: true}), workload.StressConfig{
+		Procs:   3,
+		Ops:     200,
+		Crashes: crashes,
+		Seed:    7,
+		Shared:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

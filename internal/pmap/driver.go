@@ -3,12 +3,9 @@ package pmap
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"delayfree/internal/capsule"
 	"delayfree/internal/history"
-	"delayfree/internal/pmem"
-	"delayfree/internal/proc"
 	"delayfree/internal/workload"
 )
 
@@ -143,286 +140,118 @@ func RegisterScriptDriver(reg *capsule.Registry, m *Map, scripts [][]Op, keepGoi
 	)
 }
 
-// StressConfig parametrizes CrashStress.
-type StressConfig struct {
-	P           int // processes (the scripts use disjoint key ranges)
-	Shards      int
-	Buckets     int
-	OpsPerProc  int // script length; the script loops until Crashes is met
-	KeysPerProc int
-	// Crashes is the minimum number of full-system crashes to inject.
-	Crashes int
-	Seed    int64
-	// Shared selects the shared-cache model (crashes drop a random
-	// prefix of every dirty line); otherwise the private model, where
-	// crashes destroy only volatile state.
-	Shared bool
-	// Opt selects compact capsule frames.
-	Opt bool
-	// MinGap/MaxGap bound the instrumented-step gap between injected
-	// crashes. Zero means "derived from the geometry": the minimum must
-	// exceed the cost of a recovery pass or the run would livelock.
-	MinGap, MaxGap int64
-	// ReadPct is the scripts' Get percentage; 0 selects the historical
-	// default mix (25% gets, with puts and deletes 2:1 in the rest),
-	// and a negative value selects a genuinely write-only (0% Get)
-	// script. Read-heavy rounds (90) exercise the capsule read-only
+// stressGeom is the map geometry and script mix of one round spec. The
+// registered stressers share one geometry; crash_test.go builds the odd
+// ones directly.
+type stressGeom struct {
+	shards, buckets int
+	// readPct is the scripts' Get percentage (puts and deletes 2:1 in
+	// the rest). Read-heavy rounds (90) exercise the capsule read-only
 	// tier — elided boundaries and flush-free wcas reads — under
 	// full-system crashes.
-	ReadPct int
-	// Audit records a full operation history and runs the map family's
-	// durable-linearizability checker plus the detectability cross-check
-	// after the round; violations fail the round and dump an artifact
-	// under ArtifactDir (empty = OS temp dir).
-	Audit       bool
-	ArtifactDir string
-	// Stresser labels the audit artifact; empty defaults to "pmap".
-	Stresser string
+	readPct int
+	// fullFrames keeps two-copy capsule frames in the shared model too
+	// (the default there is compact frames).
+	fullFrames bool
 }
 
-// StressReport summarizes a CrashStress run.
-type StressReport struct {
-	Crashes  uint64     // full-system crashes completed
-	Restarts uint64     // process restarts summed over processes
-	Ops      uint64     // scripted operations executed (exactly once each)
-	Stats    pmem.Stats // summed per-process memory counters
-}
+// stressKeys is each process's private key count (the scripts use
+// disjoint key ranges).
+const stressKeys = 24
 
-// CrashStress runs the map's crash-injection exactness check: P
-// processes execute deterministic disjoint-key scripts through the
-// capsule driver while randomized step-count crash injection keeps
-// triggering full-system crashes ("all processors fail together",
-// Section 2.1); each restart wave recovers the writable-CAS pools
-// exactly once before anyone resumes. The scripts loop until at least
-// cfg.Crashes crashes have been absorbed, so every crash hits live
-// operations regardless of scheduling. The run fails if the final map
-// contents differ from the shadow model replayed to each process's
-// persisted operation count — i.e. if any crash lost, duplicated or
-// corrupted an operation — or if any driver did not complete.
-func CrashStress(cfg StressConfig) (StressReport, error) {
-	if cfg.KeysPerProc == 0 {
-		cfg.KeysPerProc = 24
-	}
-	mode := pmem.Private
-	if cfg.Shared {
-		mode = pmem.Shared
-	}
-	words := Words(cfg.Buckets, cfg.Shards, cfg.P) + uint64(cfg.P)*capsule.ProcWords + 1<<13
-	mem := pmem.New(pmem.Config{
-		Words:   words,
-		Mode:    mode,
-		Checked: true,
-		Seed:    cfg.Seed,
-	})
-	rt := proc.NewRuntime(mem, cfg.P)
-	rt.SystemCrashMode = true
-
-	m := New(Config{
-		Mem:     mem,
-		P:       cfg.P,
-		Buckets: cfg.Buckets,
-		Shards:  cfg.Shards,
-		Opt:     cfg.Opt,
-		Durable: cfg.Shared,
-	})
-	setup := mem.NewPort()
-	m.Init(setup, nil)
-	m.Bind(rt)
-
-	readPct := cfg.ReadPct
-	switch {
-	case readPct < 0:
-		readPct = 0
-	case readPct == 0:
-		readPct = 25
-	}
-	scripts := make([][]Op, cfg.P)
-	for pid := 0; pid < cfg.P; pid++ {
-		keys := make([]uint64, cfg.KeysPerProc)
-		for j := range keys {
-			keys[j] = uint64(pid)<<32 | uint64(j+1)
-		}
-		scripts[pid] = Script(pid, cfg.OpsPerProc, keys, cfg.Seed+int64(pid)*7919, readPct)
-	}
-
-	// Audit support: the recorder lives in host memory (it survives
-	// simulated crashes — it is the ground truth the durable state is
-	// checked against), and the runtime's stopped-world crash hook
-	// places the global crash markers.
-	var rec *history.Recorder
-	if cfg.Audit {
-		rec = history.NewRecorder(cfg.P, history.StressCapacity(cfg.OpsPerProc, cfg.Crashes))
-		rt.OnSystemCrash = func(uint64) { rec.Crash() }
-	}
-
-	reg := capsule.NewRegistry()
-	m.Register(reg)
-	drv := RegisterScriptDriver(reg, m, scripts, func() bool {
-		return rt.SystemCrashes() < uint64(cfg.Crashes)
-	}, rec)
-	bases := capsule.AllocProcAreas(mem, cfg.P)
-	for i := 0; i < cfg.P; i++ {
-		capsule.Install(rt.Proc(i).Mem(), bases[i], reg, drv)
-	}
-
-	// One recovery per crash, by the first process of each restart wave;
-	// the rest of the wave blocks on the mutex until it is done, so no
-	// process resumes over unrecovered slot pools.
-	var recMu sync.Mutex
-	var recEpoch uint64
-	recoverPools := func(p *proc.Proc) {
-		e := rt.SystemCrashes()
-		recMu.Lock()
-		defer recMu.Unlock()
-		if e > recEpoch {
-			m.Recover(p.Mem())
-			recEpoch = e
-		}
-	}
-
-	// Step-based crash injection: each process re-arms a random gap
-	// after every restart; the first to fire drags the whole system
-	// down. The minimum gap must leave room for a full recovery pass
-	// (one process per wave replays Array.Recover for every segment) or
-	// the run would livelock.
-	minGap, maxGap := cfg.MinGap, cfg.MaxGap
-	if minGap == 0 {
-		recCost := int64(0)
-		for range m.segs {
-			recCost += int64(2*m.bps) + int64(2*m.bps) + int64(2*cfg.P*cfg.P) + int64(cfg.P)
-		}
-		minGap = 2*recCost + 1500
-	}
-	if maxGap < minGap {
-		maxGap = 2 * minGap
-	}
-	for i := 0; i < cfg.P; i++ {
-		rt.Proc(i).AutoCrash(cfg.Seed*31+int64(i), minGap, maxGap)
-	}
-
-	rt.RunToCompletion(func(i int) proc.Program {
-		return func(p *proc.Proc) {
-			if p.Crashed() {
-				rec.Restart(i)
-				recoverPools(p)
+// stressSpec is the map family's round spec (the round itself is
+// workload.RunRound): processes execute deterministic disjoint-key
+// scripts through the capsule driver, looping until the crash quota is
+// met. Crashes are always ganged ("all processors fail together",
+// Section 2.1) because recovery of the writable-CAS pools is a per-wave
+// pass: Map.Recover runs once per crash before anyone resumes. The
+// round fails if the final map contents differ from the shadow model
+// replayed to each process's persisted operation count — i.e. if any
+// crash lost, duplicated or corrupted an operation.
+func stressSpec(name string, g stressGeom) workload.StressSpec {
+	return workload.StressSpec{
+		Name:    name,
+		Family:  "map",
+		Ops:     300,
+		Crashes: 250,
+		Gang:    true,
+		// The floor must leave room for a full recovery pass (one
+		// process per wave replays Array.Recover for every segment).
+		MinGap: func(n int) int64 {
+			m := New(Config{P: n, Buckets: g.buckets, Shards: g.shards})
+			recCost := int64(m.shards) * int64(4*int(m.bps)+2*n*n+n)
+			return 2*recCost + 1500
+		},
+		MaxGap: func(minGap int64) int64 { return 2 * minGap },
+		Words: func(r *workload.Round) uint64 {
+			return Words(g.buckets, g.shards, r.N) + 1<<13
+		},
+		Build: func(r *workload.Round) workload.Hooks {
+			m := New(Config{
+				Mem:     r.Mem,
+				P:       r.N,
+				Buckets: g.buckets,
+				Shards:  g.shards,
+				Opt:     r.Shared && !g.fullFrames,
+				Durable: r.Shared,
+			})
+			setup := r.Mem.NewPort()
+			m.Init(setup, nil)
+			m.Bind(r.RT)
+			scripts := make([][]Op, r.N)
+			for pid := range scripts {
+				keys := make([]uint64, stressKeys)
+				for j := range keys {
+					keys[j] = uint64(pid)<<32 | uint64(j+1)
+				}
+				scripts[pid] = Script(pid, r.Ops, keys, r.Seed+int64(pid)*7919, g.readPct)
 			}
-			capsule.NewMachine(p, reg, bases[i]).Run()
-		}
-	})
-	for i := 0; i < cfg.P; i++ {
-		rt.Proc(i).Disarm()
+			m.Register(r.Reg)
+			drv := RegisterScriptDriver(r.Reg, m, scripts, r.KeepGoing, r.Rec)
+			for i := 0; i < r.N; i++ {
+				r.Install(i, drv)
+			}
+			return workload.Hooks{
+				Counter: drvIdx,
+				Wave:    m.Recover,
+				Final:   func() history.FinalState { return history.FinalState{Map: m.Dump(setup)} },
+				Check: func(final history.FinalState, locals [][]uint64, rep *workload.StressReport) error {
+					// Shadow model: replay each process's looped script up
+					// to the operation count its driver persisted.
+					model := map[uint64]uint64{}
+					for i, l := range locals {
+						n := l[drvIdx]
+						if n < uint64(r.Ops) {
+							return fmt.Errorf("process %d executed %d ops, script demands at least %d", i, n, r.Ops)
+						}
+						rep.Ops += n
+						sc := scripts[i]
+						for k := uint64(0); k < n; k++ {
+							Apply(model, sc[k%uint64(len(sc)):][:1])
+						}
+					}
+					got := final.Map
+					if len(got) != len(model) {
+						return fmt.Errorf("recovered map has %d keys, shadow model %d", len(got), len(model))
+					}
+					for k, v := range model {
+						if gv, ok := got[k]; !ok || gv != v {
+							return fmt.Errorf("key %#x: recovered %d (present=%v), shadow model %d", k, gv, ok, v)
+						}
+					}
+					return nil
+				},
+			}
+		},
 	}
-
-	// A final crash drops anything left unfenced; the comparison below
-	// therefore checks the *durable* state.
-	rt.CrashSystem()
-
-	report := StressReport{Crashes: rt.SystemCrashes(), Stats: rt.TotalStats()}
-	for i := 0; i < cfg.P; i++ {
-		report.Restarts += rt.Proc(i).Restarts()
-	}
-
-	// Ordering audit first, before the conservation checks below: when a
-	// round is broken the failing-history artifact must be written even
-	// if the legacy checks would reject the round on their own.
-	if rec != nil {
-		completed := make([]uint64, cfg.P)
-		for i := 0; i < cfg.P; i++ {
-			completed[i] = capsule.NewMachine(rt.Proc(i), reg, bases[i]).Detect(drvIdx).Completed
-		}
-		h := rec.History()
-		h.Final.Map = m.Dump(setup)
-		name := cfg.Stresser
-		if name == "" {
-			name = "pmap"
-		}
-		meta := history.RunMeta{Stresser: name, Family: "map", Seed: cfg.Seed, Shared: cfg.Shared, Procs: cfg.P}
-		if err := workload.Audit(meta, cfg.ArtifactDir, h, completed, report.Stats); err != nil {
-			return report, err
-		}
-	}
-
-	if report.Crashes < uint64(cfg.Crashes) {
-		return report, fmt.Errorf("only %d full-system crashes completed, want %d", report.Crashes, cfg.Crashes)
-	}
-
-	// Shadow model: replay each process's looped script up to the
-	// operation count its driver persisted.
-	model := map[uint64]uint64{}
-	for i := 0; i < cfg.P; i++ {
-		mach := capsule.NewMachine(rt.Proc(i), reg, bases[i])
-		depth, pc, locals := mach.LoadState()
-		if depth != 0 || pc != capsule.PCDone {
-			return report, fmt.Errorf("process %d did not finish: depth=%d pc=%d", i, depth, pc)
-		}
-		n := locals[drvIdx]
-		if n < uint64(cfg.OpsPerProc) {
-			return report, fmt.Errorf("process %d executed %d ops, script demands at least %d", i, n, cfg.OpsPerProc)
-		}
-		report.Ops += n
-		sc := scripts[i]
-		for k := uint64(0); k < n; k++ {
-			Apply(model, sc[k%uint64(len(sc)):][:1])
-		}
-	}
-	got := m.Dump(setup)
-	if len(got) != len(model) {
-		return report, fmt.Errorf("recovered map has %d keys, shadow model %d", len(got), len(model))
-	}
-	for k, v := range model {
-		if gv, ok := got[k]; !ok || gv != v {
-			return report, fmt.Errorf("key %#x: recovered %d (present=%v), shadow model %d", k, gv, ok, v)
-		}
-	}
-	return report, nil
 }
 
 func init() {
-	// Register with the workload registry so cmd/crashstress discovers
-	// the map family generically. The generic StressConfig carries the
-	// common knobs; the stress geometry (shards, buckets, keys) is the
-	// same one internal/pmap/crash_test.go exercises, and zero fields
-	// select the family defaults. The readheavy variant runs the same
-	// exactness check over 90%-Get scripts, so the read-only fast lane
-	// (elided boundaries, flush-free wcas reads) absorbs the bulk of
-	// the injected crashes.
-	register := func(name string, readPct int) {
-		workload.RegisterStresser(workload.Stresser{
-			Name:   name,
-			Family: "map",
-			Run: func(cfg workload.StressConfig) (workload.StressReport, error) {
-				sc := StressConfig{
-					P:           cfg.Procs,
-					Shards:      2,
-					Buckets:     256,
-					OpsPerProc:  cfg.Ops,
-					Crashes:     cfg.Crashes,
-					Seed:        cfg.Seed,
-					Shared:      cfg.Shared,
-					Opt:         cfg.Shared,
-					MinGap:      cfg.MinGap,
-					MaxGap:      cfg.MaxGap,
-					ReadPct:     readPct,
-					Audit:       cfg.Audit,
-					ArtifactDir: cfg.ArtifactDir,
-					Stresser:    name,
-				}
-				if sc.P <= 0 {
-					sc.P = 4
-				}
-				if sc.OpsPerProc == 0 {
-					sc.OpsPerProc = 300
-				}
-				if sc.Crashes == 0 {
-					sc.Crashes = 250
-				}
-				rep, err := CrashStress(sc)
-				return workload.StressReport(rep), err
-			},
-		})
-	}
-	register("pmap", 0)
-	register("pmap-readheavy", 90)
+	// The readheavy variant runs the same exactness check over 90%-Get
+	// scripts, so the read-only fast lane (elided boundaries, flush-free
+	// wcas reads) absorbs the bulk of the injected crashes.
+	workload.RegisterStressSpec(stressSpec("pmap", stressGeom{shards: 2, buckets: 256, readPct: 25}))
+	workload.RegisterStressSpec(stressSpec("pmap-readheavy", stressGeom{shards: 2, buckets: 256, readPct: 90}))
 	workload.RegisterHistoryChecker(workload.HistoryChecker{
 		Family: "map",
 		Check:  history.CheckMapLWW,

@@ -1,295 +1,38 @@
 package pqueue
 
 import (
-	"fmt"
-
 	"delayfree/internal/capsule"
 	"delayfree/internal/history"
 	"delayfree/internal/ingress"
-	"delayfree/internal/pmem"
-	"delayfree/internal/proc"
 	"delayfree/internal/qnode"
 	"delayfree/internal/rcas"
 	"delayfree/internal/workload"
 )
 
-// Crash-stress for the batched ingress front-end of the queue family:
-// cfg.Procs producer processes drive enqueues through the MPSC ring via
-// the ingress producer driver (publish, wait for the combiner's
-// completion token, abandon on any crash or combiner restart — never
-// republish), while one combiner process drains batches and applies
-// them with pqueue.BatchEnqueuer inside single capsule spans. Crash
-// injection lands inside producer publish/wait spans and inside live
-// combiner batch spans in both failure models.
-//
-// Exactness here is "exactly once or never" per operation: a returned
-// operation is durable (its token was stored after the batch's
-// PersistEpoch), an abandoned operation may be present at most once.
-// The checks:
-//
-//   - with -audit order, the recorded history must pass the queue
-//     family's durable-linearizability checker (conservation, FIFO
-//     order, residue order); the detectability cross-check is skipped
-//     because abandoned attempts leave holes in the ID sequence
-//     (completed = nil, see workload.Audit);
-//   - always: the drained residue must hold no duplicate and no alien
-//     value, each producer's surviving values must appear in strictly
-//     increasing attempt order (per-producer FIFO through one ring),
-//     and per producer, returned <= survived <= attempted.
-const (
-	batchedShards  = 1
-	batchedMax     = 8
-	batchedRingCap = 64
-	// batchedWindow is the producer drivers' attempt-persistence window:
-	// one durable claim and one durable return/abandon tally per 8
-	// attempts (a crash abandons the whole unacknowledged window).
-	batchedWindow = 8
-)
-
-// batchedQueueStress runs one round; see the package comment above.
-func batchedQueueStress(cfg workload.StressConfig) (workload.StressReport, error) {
-	if cfg.Ops < 0 || cfg.Crashes < 0 {
-		return workload.StressReport{}, fmt.Errorf("pqueue: negative Ops/Crashes (%d/%d)", cfg.Ops, cfg.Crashes)
-	}
-	P := cfg.Procs
-	if P <= 0 {
-		P = 4
-	}
-	attempts := uint64(cfg.Ops)
-	if attempts == 0 {
-		attempts = 40
-	}
-	quota := cfg.Crashes
-	if quota == 0 {
-		quota = 150
-	}
-	N := P + batchedShards // producers + combiners
-	minGap, maxGap := cfg.MinGap, cfg.MaxGap
-	if minGap == 0 {
-		minGap = 600 + 50*int64(N) + 25*batchedMax
-	}
-	if maxGap < minGap {
-		maxGap = 3 * minGap
-	}
-	mode := pmem.Private
-	if cfg.Shared {
-		mode = pmem.Shared
-	}
-	// Enqueue-only rounds retire nothing, and the quota keeps producers
-	// publishing until enough crashes land, so the packed pools must
-	// absorb every operation the round can complete: empirically one per
-	// ~40 producer steps, so budget a generous maxGap/20 per producer
-	// per crash event. Abandoned batches are reclaimed by Rollback on
-	// combiner restart (only the Commit-to-splice window leaks), so no
-	// extra per-crash batch headroom is needed — but keep a little. The
-	// base arena holds just the dummy: combiners allocate exclusively
-	// from their packed pools, at 1/qnode.PackedNodesPerLine of the
-	// per-node line cost the old sizing paid.
-	perWave := uint64(maxGap)*uint64(P)/20 + batchedMax
-	totalNodes := uint64(P)*attempts + uint64(quota)*perWave
-	const segNodes = 1024
-	nseg := uint32(totalNodes/(segNodes*batchedShards)) + 4
-	const arenaCap = 64
-	words := uint64(arenaCap+8)*pmem.WordsPerLine +
-		uint64(batchedShards)*qnode.PackedWords(segNodes, nseg) +
-		uint64(N)*capsule.ProcWords + 1<<15
-	mem := pmem.New(pmem.Config{
-		Words:   words,
-		Mode:    mode,
-		Checked: true,
-		Seed:    cfg.Seed,
-	})
-	rt := proc.NewRuntime(mem, N)
-	rt.SystemCrashMode = cfg.Shared
-	arena := qnode.NewArena(mem, arenaCap)
-	q := NewGeneral(Config{
-		Mem:     mem,
-		Space:   rcas.NewSpace(mem, N),
-		Arena:   arena,
-		P:       N,
-		Durable: true,
-		Opt:     true,
-	})
-	q.Init(rt.Proc(0).Mem(), DummyNode) // empty: any pre-seeded value would be a residue phantom
-	npools := make([]*qnode.PackedPool, batchedShards)
-	for s := range npools {
-		npools[s] = qnode.NewPackedPool(mem, arena, segNodes, nseg, N)
-	}
-
-	crashEvents := func() uint64 {
-		if cfg.Shared {
-			return rt.SystemCrashes()
-		}
-		var n uint64
-		for i := 0; i < N; i++ {
-			n += rt.Proc(i).Restarts()
-		}
-		return n
-	}
-	var rec *history.Recorder
-	if cfg.Audit {
-		rec = history.NewRecorder(P, history.StressCapacity(int(attempts)+quota*int(maxGap)/15, quota))
-	}
-	pool := ingress.NewPool(batchedShards, batchedRingCap, batchedMax, P)
-	// A full-system crash loses the volatile rings wholesale and every
-	// shard epoch advances, so producers abandon their in-flight
-	// attempts instead of waiting on a dead batch.
-	rt.OnSystemCrash = func(uint64) {
-		rec.Crash()
-		pool.Reset()
-	}
-
-	reg := capsule.NewRegistry()
-	bases := capsule.AllocProcAreas(mem, N)
-	keepGoing := func() bool { return crashEvents() < uint64(quota) }
-	for i := 0; i < P; i++ {
-		pid := i
-		drv := ingress.RegisterProducerDriver(reg, fmt.Sprintf("pq-batched-prod%d", pid), pool, pid,
-			attempts, batchedWindow, keepGoing,
-			func(attempt uint64) ingress.Attempt {
-				return ingress.Attempt{
-					Shard: 0,
-					Rec:   ingress.Record{Op: ingress.OpEnqueue, A: uint64(pid)<<40 | attempt},
-					HOp:   history.OpEnq,
-				}
-			}, rec)
-		capsule.Install(rt.Proc(pid).Mem(), bases[pid], reg, drv)
-	}
-	for s := 0; s < batchedShards; s++ {
-		vals := make([]uint64, batchedMax)
-		enqueue := BatchEnqueuer(q, npools[s])
-		comb := ingress.RegisterCombiner(reg, fmt.Sprintf("pq-batched-comb%d", s), pool, s,
-			func(c *capsule.Ctx, batch []ingress.Record) {
-				for i := range batch {
-					vals[i] = batch[i].A
-				}
-				enqueue(c, vals[:len(batch)])
-			})
-		capsule.Install(rt.Proc(P+s).Mem(), bases[P+s], reg, comb)
-	}
-
-	for i := 0; i < N; i++ {
-		rt.Proc(i).AutoCrash(cfg.Seed*31+int64(i), minGap, maxGap)
-	}
-	rt.RunToCompletion(func(i int) proc.Program {
-		if i >= P { // combiner: a restart kills its in-flight batch
-			sh := pool.Shard(i - P)
-			npool := npools[i-P]
-			return func(p *proc.Proc) {
-				if p.PeekCrashed() {
-					sh.Epoch.Add(1)
-					// The un-spliced batch was abandoned with the ring:
-					// reclaim its packed allocations.
-					npool.Rollback()
-				}
-				capsule.NewMachine(p, reg, bases[i]).Run()
-			}
-		}
-		return func(p *proc.Proc) {
-			if p.PeekCrashed() {
-				rec.Restart(i)
-			}
-			capsule.NewMachine(p, reg, bases[i]).Run()
-			pool.MarkDone(i) // only reached on normal completion (a crash unwinds Run)
-		}
-	})
-	for i := 0; i < N; i++ {
-		rt.Proc(i).Disarm()
-	}
-	// A final crash drops anything left unfenced; everything below
-	// audits the durable state.
-	rt.CrashSystem()
-
-	report := workload.StressReport{Crashes: rt.SystemCrashes(), Stats: rt.TotalStats()}
-	for i := 0; i < N; i++ {
-		report.Restarts += rt.Proc(i).Restarts()
-	}
-	port := rt.Proc(0).Mem()
-	residue := q.Drain(port)
-
-	if rec != nil {
-		h := rec.History()
-		h.Final.Residue = residue
-		meta := history.RunMeta{Stresser: "pqueue-batched", Family: "queue", Seed: cfg.Seed, Shared: cfg.Shared, Procs: P}
-		if err := workload.Audit(meta, cfg.ArtifactDir, h, nil, report.Stats); err != nil {
-			return report, err
-		}
-	}
-
-	// Per-proc persisted accounting, producers first.
-	idx := make([]uint64, P)
-	ret := make([]uint64, P)
-	var totalRet uint64
-	for i := 0; i < N; i++ {
-		m := capsule.NewMachine(rt.Proc(i), reg, bases[i])
-		depth, pc, locals := m.LoadState()
-		if depth != 0 || pc != capsule.PCDone {
-			return report, fmt.Errorf("proc %d did not finish: depth=%d pc=%d", i, depth, pc)
-		}
-		if i >= P {
-			continue
-		}
-		idx[i] = locals[ingress.SlotIdx]
-		ret[i] = locals[ingress.SlotRet]
-		if idx[i] < attempts {
-			return report, fmt.Errorf("producer %d made %d attempts, round demands at least %d", i, idx[i], attempts)
-		}
-		if ret[i]+locals[ingress.SlotAband] > idx[i] {
-			return report, fmt.Errorf("producer %d accounting broken: returned %d + abandoned %d > attempted %d",
-				i, ret[i], locals[ingress.SlotAband], idx[i])
-		}
-		report.Ops += ret[i]
-		totalRet += ret[i]
-	}
-
-	// Residue exactness: no duplicates, no alien or out-of-range value,
-	// per-producer values in strictly increasing attempt order (one ring
-	// is FIFO per producer), and at least every returned operation
-	// survived.
-	seen := make(map[uint64]bool, len(residue))
-	lastK := make([]int64, P)
-	count := make([]uint64, P)
-	for i := range lastK {
-		lastK[i] = -1
-	}
-	for _, v := range residue {
-		pid := int(v >> 40)
-		k := int64(v & (1<<40 - 1))
-		if pid >= P || uint64(k) >= idx[pid] {
-			return report, fmt.Errorf("residue value %#x was never enqueued (pid=%d attempt=%d)", v, pid, k)
-		}
-		if seen[v] {
-			return report, fmt.Errorf("residue value %#x appears twice (operation applied twice)", v)
-		}
-		seen[v] = true
-		if k <= lastK[pid] {
-			return report, fmt.Errorf("producer %d values out of FIFO order: attempt %d after %d", pid, k, lastK[pid])
-		}
-		lastK[pid] = k
-		count[pid]++
-	}
-	for i := 0; i < P; i++ {
-		if count[i] < ret[i] {
-			return report, fmt.Errorf("producer %d: %d operations returned but only %d survived (lost operations)",
-				i, ret[i], count[i])
-		}
-	}
-	if totalRet == 0 {
-		return report, fmt.Errorf("no operation completed across %d producers (gaps too tight for progress)", P)
-	}
-	if report.Stats.Batches == 0 {
-		return report, fmt.Errorf("combiner committed no batches")
-	}
-	if crashEvents() < uint64(quota) {
-		return report, fmt.Errorf("only %d crash events absorbed, want %d", crashEvents(), quota)
-	}
-	return report, nil
-}
-
+// Crash-stress for the batched ingress front-end of the queue family
+// (protocol, accounting and residue check: ingress.ChainStress):
+// producers enqueue through the ring, the combiner applies batches with
+// BatchEnqueuer inside single capsule spans. A batch is one private
+// chain linked in by a single CAS, so a crash inside a combiner span
+// keeps the whole batch or none of it.
 func init() {
-	workload.RegisterStresser(workload.Stresser{
-		Name:   "pqueue-batched",
-		Family: "queue",
-		Run:    batchedQueueStress,
-	})
+	workload.RegisterStressSpec(ingress.ChainStress("pqueue-batched", "queue", ingress.OpEnqueue, history.OpEnq, true,
+		func(r *workload.Round, arena *qnode.Arena) ingress.Chain {
+			q := NewGeneral(Config{
+				Mem:     r.Mem,
+				Space:   rcas.NewSpace(r.Mem, r.N),
+				Arena:   arena,
+				P:       r.N,
+				Durable: true,
+				Opt:     true,
+			})
+			port := r.RT.Proc(0).Mem()
+			q.Init(port, DummyNode)
+			return ingress.Chain{
+				Drain: func() []uint64 { return q.Drain(port) },
+				Applier: func(pool *qnode.PackedPool) func(*capsule.Ctx, []uint64) {
+					return BatchEnqueuer(q, pool)
+				},
+			}
+		}))
 }

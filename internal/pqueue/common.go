@@ -206,28 +206,32 @@ func (b *base) TailAddr() pmem.Addr { return b.tail }
 // concurrency.
 func (b *base) Len(port *pmem.Port) int {
 	n := 0
-	i := uint32(rcas.Val(port.Read(b.head)))
-	for {
-		nx := uint32(rcas.Val(port.Read(b.link(i))))
-		if nx == 0 {
-			return n
-		}
-		n++
-		i = nx
-	}
+	b.walk(port, func(uint32) { n++ })
+	return n
 }
 
 // Drain returns the values currently in the queue by traversal;
 // quiescent test helper.
 func (b *base) Drain(port *pmem.Port) []uint64 {
 	var out []uint64
+	b.walk(port, func(n uint32) { out = append(out, port.Read(b.Arena.Val(n))) })
+	return out
+}
+
+// walk visits the queue's nodes head to tail. It panics on a chain
+// longer than the arena — a link cycle in a recovered queue, which
+// would otherwise never end (and grow Drain's result without bound).
+func (b *base) walk(port *pmem.Port, visit func(n uint32)) {
 	i := uint32(rcas.Val(port.Read(b.head)))
-	for {
+	for n := uint32(0); ; n++ {
 		nx := uint32(rcas.Val(port.Read(b.link(i))))
 		if nx == 0 {
-			return out
+			return
 		}
-		out = append(out, port.Read(b.Arena.Val(nx)))
+		if n >= b.Arena.End() {
+			panic("pqueue: link chain longer than the arena (cycle in the recovered queue)")
+		}
+		visit(nx)
 		i = nx
 	}
 }
@@ -270,11 +274,11 @@ func RegisterPairsDriver(reg *capsule.Registry, q Queue) capsule.RoutineID {
 	return registerPairsDriver(reg, q, 0, nil, nil)
 }
 
-// RegisterQuotaPairsDriver is RegisterPairsDriver with the crash-stress
+// registerPairsDriver is RegisterPairsDriver with the crash-stress
 // repetition hook: when a batch of pairs completes and keepGoing still
 // reports true, the driver starts another batch of `pairs` pairs (the
 // value counter keeps increasing, so values stay unique) — crash-stress
-// runs use this to keep the workload alive until the crash quota is
+// rounds use this to keep the workload alive until the crash quota is
 // met. keepGoing may be read at different times by a repeated dispatch
 // capsule; that is safe because the exactness check depends only on the
 // *persisted* counter, never on when the driver decided to stop.
@@ -284,10 +288,6 @@ func RegisterPairsDriver(reg *capsule.Registry, q Queue) capsule.RoutineID {
 // the same pair share ID k). A capsule repetition re-records the same
 // (op, id); the history merge collapses the repeats into one
 // conservative interval.
-func RegisterQuotaPairsDriver(reg *capsule.Registry, q Queue, pairs uint64, keepGoing func() bool, rec *history.Recorder) capsule.RoutineID {
-	return registerPairsDriver(reg, q, pairs, keepGoing, rec)
-}
-
 func registerPairsDriver(reg *capsule.Registry, q Queue, pairs uint64, keepGoing func() bool, rec *history.Recorder) capsule.RoutineID {
 	return reg.Register("pairs-driver", false,
 		func(c *capsule.Ctx) { // pc0: enqueue, refill the batch, or finish

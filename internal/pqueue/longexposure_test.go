@@ -51,7 +51,7 @@ func TestQueueLatentViolationKnownIssue(t *testing.T) {
 		dir = env // survive the test run for offline analysis
 	}
 	for _, seed := range []int64{4, 13, 27} {
-		if _, err := CrashStress("general", func(cfg Config) Queue { return NewGeneral(cfg) },
+		if _, err := workload.RunStress("general",
 			workload.StressConfig{Procs: 2, Ops: 20, Seed: seed, Shared: true,
 				Audit: true, ArtifactDir: dir}); err != nil {
 			t.Errorf("seed=%d: %v", seed, err)
@@ -82,7 +82,7 @@ func TestQueueSeedSweep(t *testing.T) {
 	}
 	var failing []int64
 	for seed := int64(0); seed <= 40; seed++ {
-		_, err := CrashStress("general", func(cfg Config) Queue { return NewGeneral(cfg) },
+		_, err := workload.RunStress("general",
 			workload.StressConfig{Procs: 2, Ops: 20, Seed: seed, Shared: true,
 				Audit: true, ArtifactDir: t.TempDir()})
 		if err != nil {

@@ -3,203 +3,99 @@ package pqueue
 import (
 	"fmt"
 
-	"delayfree/internal/capsule"
 	"delayfree/internal/history"
 	"delayfree/internal/pmem"
-	"delayfree/internal/proc"
 	"delayfree/internal/qnode"
 	"delayfree/internal/rcas"
 	"delayfree/internal/workload"
 )
 
-// Crash-stress for the queue family: every transformed variant runs
-// balanced enqueue-dequeue pairs through the persisted pairs driver
-// under randomized crash injection (independent process crashes in the
-// private model, full-system crashes in the shared-cache model), and
-// the exactness check demands that every process completed every
-// operation exactly once — the queue drains empty and the persisted
-// sum of dequeued values equals the sum of enqueued values implied by
-// each process's persisted enqueue counter. With a crash quota set,
-// the pair batches repeat until enough crash events (full-system
-// crashes in the shared model, process restarts in the private model)
-// have been absorbed, so every round genuinely exercises recovery.
-// Each variant registers with the workload registry; cmd/crashstress
-// runs whatever is registered.
+// Crash-stress for the queue family (the round itself is
+// workload.RunRound): every transformed variant runs balanced
+// enqueue-dequeue pairs through the persisted pairs driver, and the
+// exactness check demands that every process completed every operation
+// exactly once — the queue drains empty and the persisted sum of
+// dequeued values equals the sum of enqueued values implied by each
+// process's persisted enqueue counter. With a crash quota set, the pair
+// batches repeat until enough crash events have been absorbed.
 
-// CrashStress runs one crash-injection exactness round for the variant
-// built by mk (zero cfg fields select the family defaults; Crashes = 0
-// means no quota, a single batch of pairs). name labels the round in
-// audit artifacts; with cfg.Audit set the round also records a full
-// operation history and runs the queue family's durable-linearizability
-// checker plus the detectability cross-check.
-func CrashStress(name string, mk func(Config) Queue, cfg workload.StressConfig) (workload.StressReport, error) {
-	if cfg.Ops < 0 || cfg.Crashes < 0 {
-		return workload.StressReport{}, fmt.Errorf("pqueue: negative Ops/Crashes (%d/%d)", cfg.Ops, cfg.Crashes)
-	}
-	P := cfg.Procs
-	if P <= 0 {
-		P = 4
-	}
-	pairs := uint64(cfg.Ops)
-	if pairs == 0 {
-		pairs = 30
-	}
-	minGap, maxGap := cfg.MinGap, cfg.MaxGap
-	if minGap == 0 {
-		minGap = 120
-	}
-	if maxGap < minGap {
-		maxGap = 2500
-		if maxGap < minGap {
-			maxGap = 2 * minGap
-		}
-	}
-	mode := pmem.Private
-	if cfg.Shared {
-		mode = pmem.Shared
-	}
-	// Arena headroom: live nodes are bounded by in-flight pairs, but a
-	// capsule repetition can leak one node per restart (see qnode), so
-	// budget for the crash quota; quota-less rounds see few restarts.
-	arenaCap := uint32(P)*64 + uint32(cfg.Crashes)*uint32(P)*2 + 8192
-	words := uint64(arenaCap+8)*pmem.WordsPerLine + uint64(P)*capsule.ProcWords + 1<<15
-	mem := pmem.New(pmem.Config{
-		Words:   words,
-		Mode:    mode,
-		Checked: true,
-		Seed:    cfg.Seed,
-	})
-	rt := proc.NewRuntime(mem, P)
-	rt.SystemCrashMode = cfg.Shared
-	arena := qnode.NewArena(mem, arenaCap)
-	q := mk(Config{
-		Mem:     mem,
-		Space:   rcas.NewSpace(mem, P),
-		Arena:   arena,
-		P:       P,
-		Durable: cfg.Shared,
-	})
-	reg := capsule.NewRegistry()
-	q.Register(reg)
-	bases := capsule.AllocProcAreas(mem, P)
-	q.Init(rt.Proc(0).Mem(), DummyNode)
-	// Crash events: full-system crashes when the runtime gangs crashes
-	// together (shared model), individual restarts otherwise.
-	crashEvents := func() uint64 {
-		if cfg.Shared {
-			return rt.SystemCrashes()
-		}
-		var n uint64
-		for i := 0; i < P; i++ {
-			n += rt.Proc(i).Restarts()
-		}
-		return n
-	}
-	var keepGoing func() bool
-	if cfg.Crashes > 0 {
-		keepGoing = func() bool { return crashEvents() < uint64(cfg.Crashes) }
-	}
-	// Audit support: the recorder lives in host memory (the volatile
-	// ground truth the durable state is checked against), and the
-	// runtime's stopped-world crash hook places the global crash markers.
-	var rec *history.Recorder
-	if cfg.Audit {
-		rec = history.NewRecorder(P, history.StressCapacity(int(pairs), cfg.Crashes))
-		rt.OnSystemCrash = func(uint64) { rec.Crash() }
-	}
-	drv := RegisterQuotaPairsDriver(reg, q, pairs, keepGoing, rec)
-	prog := InstallDriver(rt, reg, drv, bases, pairs)
-	for i := 0; i < P; i++ {
-		rt.Proc(i).AutoCrash(cfg.Seed*31+int64(i), minGap, maxGap)
-	}
-	rt.RunToCompletion(func(i int) proc.Program {
-		inner := prog(i)
-		return func(p *proc.Proc) {
-			if p.PeekCrashed() {
-				rec.Restart(i)
+// stressArena budgets the node arena: live nodes are bounded by
+// in-flight pairs, but a capsule repetition can leak one node per
+// restart (see qnode), so budget for the crash quota; quota-less rounds
+// see few restarts.
+func stressArena(r *workload.Round) uint32 {
+	return uint32(r.Procs)*64 + uint32(r.Crashes)*uint32(r.Procs)*2 + 8192
+}
+
+// stressSpec is the round spec of the variant built by mk. The family
+// default is quota-less (Crashes 0) until the dup-delivery bug closes
+// (ROADMAP open items): its retry loops can livelock a quota.
+func stressSpec(name string, mk func(Config) Queue) workload.StressSpec {
+	return workload.StressSpec{
+		Name:   name,
+		Family: "queue",
+		Ops:    30,
+		MinGap: func(int) int64 { return 120 },
+		MaxGap: func(minGap int64) int64 {
+			if minGap <= 2500 {
+				return 2500
 			}
-			inner(p)
-		}
-	})
-	for i := 0; i < P; i++ {
-		rt.Proc(i).Disarm()
+			return 2 * minGap
+		},
+		Words: func(r *workload.Round) uint64 {
+			return uint64(stressArena(r)+8)*pmem.WordsPerLine + 1<<15
+		},
+		Build: func(r *workload.Round) workload.Hooks {
+			arena := qnode.NewArena(r.Mem, stressArena(r))
+			q := mk(Config{
+				Mem:     r.Mem,
+				Space:   rcas.NewSpace(r.Mem, r.N),
+				Arena:   arena,
+				P:       r.N,
+				Durable: r.Shared,
+			})
+			q.Register(r.Reg)
+			port := r.RT.Proc(0).Mem()
+			q.Init(port, DummyNode)
+			pairs := uint64(r.Ops)
+			drv := registerPairsDriver(r.Reg, q, pairs, r.KeepGoing, r.Rec)
+			for i := 0; i < r.N; i++ {
+				r.Install(i, drv, pairs)
+			}
+			return workload.Hooks{
+				Counter: drvCounter,
+				Final:   func() history.FinalState { return history.FinalState{Residue: q.Drain(port)} },
+				Check: func(final history.FinalState, locals [][]uint64, rep *workload.StressReport) error {
+					if n := len(final.Residue); n != 0 {
+						return fmt.Errorf("queue holds %d values after balanced pairs: %x", n, final.Residue)
+					}
+					var totalSink, wantSink uint64
+					for i, l := range locals {
+						n := l[drvCounter] // persisted enqueue count
+						if n < pairs {
+							return fmt.Errorf("proc %d ran %d pairs, batch demands at least %d", i, n, pairs)
+						}
+						rep.Ops += 2 * n
+						totalSink += l[drvSink]
+						for k := uint64(0); k < n; k++ {
+							wantSink += uint64(i)<<40 | k
+						}
+					}
+					if totalSink != wantSink {
+						return fmt.Errorf("dequeued-value sum %d, want %d (lost or duplicated operations)", totalSink, wantSink)
+					}
+					return nil
+				},
+			}
+		},
 	}
-
-	// A final crash drops anything left unfenced; the checks below
-	// therefore audit the *durable* state (as the map and stack
-	// stressers do).
-	rt.CrashSystem()
-
-	report := workload.StressReport{Crashes: rt.SystemCrashes(), Stats: rt.TotalStats()}
-	for i := 0; i < P; i++ {
-		report.Restarts += rt.Proc(i).Restarts()
-	}
-
-	port := rt.Proc(0).Mem()
-
-	// Ordering audit first, before the conservation checks below: when a
-	// round is broken the failing-history artifact must be written even
-	// if the legacy checks would reject the round on their own.
-	if rec != nil {
-		completed := make([]uint64, P)
-		for i := 0; i < P; i++ {
-			completed[i] = capsule.NewMachine(rt.Proc(i), reg, bases[i]).Detect(drvCounter).Completed
-		}
-		h := rec.History()
-		h.Final.Residue = q.Drain(port)
-		meta := history.RunMeta{Stresser: name, Family: "queue", Seed: cfg.Seed, Shared: cfg.Shared, Procs: P}
-		if err := workload.Audit(meta, cfg.ArtifactDir, h, completed, report.Stats); err != nil {
-			return report, err
-		}
-	}
-	if got := q.Len(port); got != 0 {
-		return report, fmt.Errorf("queue holds %d values after balanced pairs: %x", got, q.Drain(port))
-	}
-	var totalSink, wantSink uint64
-	for i := 0; i < P; i++ {
-		m := capsule.NewMachine(rt.Proc(i), reg, bases[i])
-		depth, pc, locals := m.LoadState()
-		if depth != 0 || pc != capsule.PCDone {
-			return report, fmt.Errorf("proc %d did not finish: depth=%d pc=%d", i, depth, pc)
-		}
-		n := locals[drvCounter] // persisted enqueue count
-		if n < pairs {
-			return report, fmt.Errorf("proc %d ran %d pairs, batch demands at least %d", i, n, pairs)
-		}
-		report.Ops += 2 * n
-		totalSink += locals[drvSink]
-		for k := uint64(0); k < n; k++ {
-			wantSink += uint64(i)<<40 | k
-		}
-	}
-	if totalSink != wantSink {
-		return report, fmt.Errorf("dequeued-value sum %d, want %d (lost or duplicated operations)", totalSink, wantSink)
-	}
-	if cfg.Crashes > 0 && crashEvents() < uint64(cfg.Crashes) {
-		return report, fmt.Errorf("only %d crash events absorbed, want %d", crashEvents(), cfg.Crashes)
-	}
-	return report, nil
 }
 
 func init() {
-	variants := []struct {
-		name string
-		mk   func(cfg Config) Queue
-	}{
-		{"general", func(cfg Config) Queue { return NewGeneral(cfg) }},
-		{"general-opt", func(cfg Config) Queue { cfg.Opt = true; return NewGeneral(cfg) }},
-		{"normalized", func(cfg Config) Queue { return NewNormalized(cfg) }},
-		{"normalized-opt", func(cfg Config) Queue { cfg.Opt = true; return NewNormalized(cfg) }},
-	}
-	for _, v := range variants {
-		workload.RegisterStresser(workload.Stresser{
-			Name:   v.name,
-			Family: "queue",
-			Run: func(cfg workload.StressConfig) (workload.StressReport, error) {
-				return CrashStress(v.name, v.mk, cfg)
-			},
-		})
-	}
+	workload.RegisterStressSpec(stressSpec("general", func(cfg Config) Queue { return NewGeneral(cfg) }))
+	workload.RegisterStressSpec(stressSpec("general-opt", func(cfg Config) Queue { cfg.Opt = true; return NewGeneral(cfg) }))
+	workload.RegisterStressSpec(stressSpec("normalized", func(cfg Config) Queue { return NewNormalized(cfg) }))
+	workload.RegisterStressSpec(stressSpec("normalized-opt", func(cfg Config) Queue { cfg.Opt = true; return NewNormalized(cfg) }))
 	workload.RegisterHistoryChecker(workload.HistoryChecker{
 		Family: "queue",
 		Check:  history.CheckQueueFIFO,

@@ -1,268 +1,40 @@
 package pstack
 
 import (
-	"fmt"
-
 	"delayfree/internal/capsule"
 	"delayfree/internal/history"
 	"delayfree/internal/ingress"
-	"delayfree/internal/pmem"
-	"delayfree/internal/proc"
 	"delayfree/internal/qnode"
 	"delayfree/internal/rcas"
 	"delayfree/internal/workload"
 )
 
 // Crash-stress for the batched ingress front-end of the stack family:
-// the mirror of the queue's batched stresser (see pqueue/batchstress.go
-// for the protocol discussion) with pstack.BatchPusher as the combiner
-// applier. A batch is one private chain swung in by a single top CAS,
-// so a crash inside a combiner span keeps either the whole batch or
-// none of it; producers abandon anything they cannot prove durable.
-//
-// The residue check flips direction: Drain returns top-first, so each
-// producer's surviving values must appear in strictly *decreasing*
-// attempt order (LIFO of a per-producer FIFO publish stream).
-const (
-	batchedShards  = 1
-	batchedMax     = 8
-	batchedRingCap = 64
-	// batchedWindow is the producer drivers' attempt-persistence window:
-	// one durable claim and one durable return/abandon tally per 8
-	// attempts (a crash abandons the whole unacknowledged window).
-	batchedWindow = 8
-)
-
-// batchedStackStress runs one round; see the package comment above.
-func batchedStackStress(cfg workload.StressConfig) (workload.StressReport, error) {
-	if cfg.Ops < 0 || cfg.Crashes < 0 {
-		return workload.StressReport{}, fmt.Errorf("pstack: negative Ops/Crashes (%d/%d)", cfg.Ops, cfg.Crashes)
-	}
-	P := cfg.Procs
-	if P <= 0 {
-		P = 4
-	}
-	attempts := uint64(cfg.Ops)
-	if attempts == 0 {
-		attempts = 40
-	}
-	quota := cfg.Crashes
-	if quota == 0 {
-		quota = 150
-	}
-	N := P + batchedShards
-	minGap, maxGap := cfg.MinGap, cfg.MaxGap
-	if minGap == 0 {
-		minGap = 600 + 50*int64(N) + 25*batchedMax
-	}
-	if maxGap < minGap {
-		maxGap = 3 * minGap
-	}
-	mode := pmem.Private
-	if cfg.Shared {
-		mode = pmem.Shared
-	}
-	// Push-only rounds retire nothing; see pqueue/batchstress.go for
-	// the budget. Combiners allocate exclusively from their packed
-	// pools (Rollback reclaims abandoned batches on restart); the base
-	// arena stays minimal.
-	perWave := uint64(maxGap)*uint64(P)/20 + batchedMax
-	totalNodes := uint64(P)*attempts + uint64(quota)*perWave
-	const segNodes = 1024
-	nseg := uint32(totalNodes/(segNodes*batchedShards)) + 4
-	const arenaCap = 64
-	words := uint64(arenaCap+8)*pmem.WordsPerLine +
-		uint64(batchedShards)*qnode.PackedWords(segNodes, nseg) +
-		uint64(N)*capsule.ProcWords + 1<<15
-	mem := pmem.New(pmem.Config{
-		Words:   words,
-		Mode:    mode,
-		Checked: true,
-		Seed:    cfg.Seed,
-	})
-	rt := proc.NewRuntime(mem, N)
-	rt.SystemCrashMode = cfg.Shared
-	arena := qnode.NewArena(mem, arenaCap)
-	s := New(Config{
-		Mem:     mem,
-		Space:   rcas.NewSpace(mem, N),
-		Arena:   arena,
-		P:       N,
-		Durable: true,
-		Opt:     true,
-	})
-	s.Init(rt.Proc(0).Mem(), 1) // empty: any pre-seeded value would be a residue phantom
-	npools := make([]*qnode.PackedPool, batchedShards)
-	for sh := range npools {
-		npools[sh] = qnode.NewPackedPool(mem, arena, segNodes, nseg, N)
-	}
-
-	crashEvents := func() uint64 {
-		if cfg.Shared {
-			return rt.SystemCrashes()
-		}
-		var n uint64
-		for i := 0; i < N; i++ {
-			n += rt.Proc(i).Restarts()
-		}
-		return n
-	}
-	var rec *history.Recorder
-	if cfg.Audit {
-		rec = history.NewRecorder(P, history.StressCapacity(int(attempts)+quota*int(maxGap)/15, quota))
-	}
-	pool := ingress.NewPool(batchedShards, batchedRingCap, batchedMax, P)
-	rt.OnSystemCrash = func(uint64) {
-		rec.Crash()
-		pool.Reset()
-	}
-
-	reg := capsule.NewRegistry()
-	bases := capsule.AllocProcAreas(mem, N)
-	keepGoing := func() bool { return crashEvents() < uint64(quota) }
-	for i := 0; i < P; i++ {
-		pid := i
-		drv := ingress.RegisterProducerDriver(reg, fmt.Sprintf("ps-batched-prod%d", pid), pool, pid,
-			attempts, batchedWindow, keepGoing,
-			func(attempt uint64) ingress.Attempt {
-				return ingress.Attempt{
-					Shard: 0,
-					Rec:   ingress.Record{Op: ingress.OpPush, A: uint64(pid)<<40 | attempt},
-					HOp:   history.OpPush,
-				}
-			}, rec)
-		capsule.Install(rt.Proc(pid).Mem(), bases[pid], reg, drv)
-	}
-	for sh := 0; sh < batchedShards; sh++ {
-		vals := make([]uint64, batchedMax)
-		push := BatchPusher(s, npools[sh])
-		comb := ingress.RegisterCombiner(reg, fmt.Sprintf("ps-batched-comb%d", sh), pool, sh,
-			func(c *capsule.Ctx, batch []ingress.Record) {
-				for i := range batch {
-					vals[i] = batch[i].A
-				}
-				push(c, vals[:len(batch)])
-			})
-		capsule.Install(rt.Proc(P+sh).Mem(), bases[P+sh], reg, comb)
-	}
-
-	for i := 0; i < N; i++ {
-		rt.Proc(i).AutoCrash(cfg.Seed*31+int64(i), minGap, maxGap)
-	}
-	rt.RunToCompletion(func(i int) proc.Program {
-		if i >= P {
-			sh := pool.Shard(i - P)
-			npool := npools[i-P]
-			return func(p *proc.Proc) {
-				if p.PeekCrashed() {
-					sh.Epoch.Add(1)
-					// The un-spliced batch was abandoned with the ring:
-					// reclaim its packed allocations.
-					npool.Rollback()
-				}
-				capsule.NewMachine(p, reg, bases[i]).Run()
-			}
-		}
-		return func(p *proc.Proc) {
-			if p.PeekCrashed() {
-				rec.Restart(i)
-			}
-			capsule.NewMachine(p, reg, bases[i]).Run()
-			pool.MarkDone(i)
-		}
-	})
-	for i := 0; i < N; i++ {
-		rt.Proc(i).Disarm()
-	}
-	rt.CrashSystem()
-
-	report := workload.StressReport{Crashes: rt.SystemCrashes(), Stats: rt.TotalStats()}
-	for i := 0; i < N; i++ {
-		report.Restarts += rt.Proc(i).Restarts()
-	}
-	port := rt.Proc(0).Mem()
-	residue := s.Drain(port)
-
-	if rec != nil {
-		h := rec.History()
-		h.Final.Residue = residue
-		meta := history.RunMeta{Stresser: "pstack-batched", Family: "stack", Seed: cfg.Seed, Shared: cfg.Shared, Procs: P}
-		if err := workload.Audit(meta, cfg.ArtifactDir, h, nil, report.Stats); err != nil {
-			return report, err
-		}
-	}
-
-	idx := make([]uint64, P)
-	ret := make([]uint64, P)
-	var totalRet uint64
-	for i := 0; i < N; i++ {
-		m := capsule.NewMachine(rt.Proc(i), reg, bases[i])
-		depth, pc, locals := m.LoadState()
-		if depth != 0 || pc != capsule.PCDone {
-			return report, fmt.Errorf("proc %d did not finish: depth=%d pc=%d", i, depth, pc)
-		}
-		if i >= P {
-			continue
-		}
-		idx[i] = locals[ingress.SlotIdx]
-		ret[i] = locals[ingress.SlotRet]
-		if idx[i] < attempts {
-			return report, fmt.Errorf("producer %d made %d attempts, round demands at least %d", i, idx[i], attempts)
-		}
-		if ret[i]+locals[ingress.SlotAband] > idx[i] {
-			return report, fmt.Errorf("producer %d accounting broken: returned %d + abandoned %d > attempted %d",
-				i, ret[i], locals[ingress.SlotAband], idx[i])
-		}
-		report.Ops += ret[i]
-		totalRet += ret[i]
-	}
-
-	// Residue exactness: top-first drain, so per-producer attempt
-	// numbers must strictly decrease.
-	seen := make(map[uint64]bool, len(residue))
-	lastK := make([]int64, P)
-	count := make([]uint64, P)
-	for i := range lastK {
-		lastK[i] = 1 << 41
-	}
-	for _, v := range residue {
-		pid := int(v >> 40)
-		k := int64(v & (1<<40 - 1))
-		if pid >= P || uint64(k) >= idx[pid] {
-			return report, fmt.Errorf("residue value %#x was never pushed (pid=%d attempt=%d)", v, pid, k)
-		}
-		if seen[v] {
-			return report, fmt.Errorf("residue value %#x appears twice (operation applied twice)", v)
-		}
-		seen[v] = true
-		if k >= lastK[pid] {
-			return report, fmt.Errorf("producer %d values out of LIFO order: attempt %d above %d", pid, k, lastK[pid])
-		}
-		lastK[pid] = k
-		count[pid]++
-	}
-	for i := 0; i < P; i++ {
-		if count[i] < ret[i] {
-			return report, fmt.Errorf("producer %d: %d operations returned but only %d survived (lost operations)",
-				i, ret[i], count[i])
-		}
-	}
-	if totalRet == 0 {
-		return report, fmt.Errorf("no operation completed across %d producers (gaps too tight for progress)", P)
-	}
-	if report.Stats.Batches == 0 {
-		return report, fmt.Errorf("combiner committed no batches")
-	}
-	if crashEvents() < uint64(quota) {
-		return report, fmt.Errorf("only %d crash events absorbed, want %d", crashEvents(), quota)
-	}
-	return report, nil
-}
-
+// the mirror of the queue's batched round (ingress.ChainStress) with
+// BatchPusher as the combiner applier. A batch is one private chain
+// swung in by a single top CAS, so a crash inside a combiner span keeps
+// either the whole batch or none of it. The residue direction flips:
+// Drain returns top-first, so each producer's surviving values must
+// appear in strictly *decreasing* attempt order (LIFO of a per-producer
+// FIFO publish stream).
 func init() {
-	workload.RegisterStresser(workload.Stresser{
-		Name:   "pstack-batched",
-		Family: "stack",
-		Run:    batchedStackStress,
-	})
+	workload.RegisterStressSpec(ingress.ChainStress("pstack-batched", "stack", ingress.OpPush, history.OpPush, false,
+		func(r *workload.Round, arena *qnode.Arena) ingress.Chain {
+			s := New(Config{
+				Mem:     r.Mem,
+				Space:   rcas.NewSpace(r.Mem, r.N),
+				Arena:   arena,
+				P:       r.N,
+				Durable: true,
+				Opt:     true,
+			})
+			port := r.RT.Proc(0).Mem()
+			s.Init(port, 1)
+			return ingress.Chain{
+				Drain: func() []uint64 { return s.Drain(port) },
+				Applier: func(pool *qnode.PackedPool) func(*capsule.Ctx, []uint64) {
+					return BatchPusher(s, pool)
+				},
+			}
+		}))
 }

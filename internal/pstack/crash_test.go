@@ -16,7 +16,7 @@ func TestCrashStressShared(t *testing.T) {
 	if testing.Short() {
 		crashes = 80
 	}
-	rep, err := CrashStress(workload.StressConfig{
+	rep, err := workload.RunStress("pstack", workload.StressConfig{
 		Procs:   4,
 		Ops:     150,
 		Crashes: crashes,
@@ -42,7 +42,7 @@ func TestCrashStressPrivate(t *testing.T) {
 	if testing.Short() {
 		crashes = 50
 	}
-	rep, err := CrashStress(workload.StressConfig{
+	rep, err := workload.RunStress("pstack", workload.StressConfig{
 		Procs:   3,
 		Ops:     120,
 		Crashes: crashes,

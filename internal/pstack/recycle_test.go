@@ -1,6 +1,7 @@
 package pstack
 
 import (
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -8,7 +9,6 @@ import (
 	"delayfree/internal/capsule"
 	"delayfree/internal/history"
 	"delayfree/internal/pmem"
-	"delayfree/internal/proc"
 	"delayfree/internal/qnode"
 	"delayfree/internal/rcas"
 	"delayfree/internal/workload"
@@ -32,11 +32,11 @@ import (
 // never-recycle regime the batched stressers already cover.
 
 const (
-	recPoppers  = 3
-	recBatch    = 8
+	recPoppers   = 3
+	recBatch     = 8
 	recSegNodes  = 16 // 2 batches per segment: recycling pressure
 	recNseg      = 96
-	recHighWater = 192 // max outstanding (pushed-not-popped) nodes
+	recHighWater = 192             // max outstanding (pushed-not-popped) nodes
 	recTag       = uint64(1) << 32 // keep values disjoint from zero/indices
 )
 
@@ -46,178 +46,140 @@ func recVal(b uint64, j int) uint64 { return recTag | b<<8 | uint64(j) }
 // 2 = batches abandoned to crashes. Popper locals: 1 = pop index,
 // 2 = consecutive empty pops, 3/4 = pop results.
 func runRecycleStress(t *testing.T, shared bool) {
-	const seed = 23
-	P := recPoppers
-	N := P + 1 // + the pusher
-	quota := uint64(60)
+	P := recPoppers // the pusher is process P, recorded like the poppers
+	quota := 60
 	target := uint64(40) // minimum batches; pushing continues until quota
 	if testing.Short() {
 		quota = 25
 	}
-	mode := pmem.Private
-	if shared {
-		mode = pmem.Shared
-	}
 	const arenaCap = 64
-	words := uint64(arenaCap+8)*pmem.WordsPerLine +
-		qnode.PackedWords(recSegNodes, recNseg) +
-		uint64(N)*capsule.ProcWords + 1<<15
-	mem := pmem.New(pmem.Config{Words: words, Mode: mode, Checked: true, Seed: seed})
-	rt := proc.NewRuntime(mem, N)
-	rt.SystemCrashMode = shared
-	arena := qnode.NewArena(mem, arenaCap)
-	s := New(Config{
-		Mem:     mem,
-		Space:   rcas.NewSpace(mem, N),
-		Arena:   arena,
-		P:       N,
-		Durable: true,
-		Opt:     true,
+	var npool *qnode.PackedPool
+	spec := workload.StressSpec{
+		Name:   "pstack-recycle",
+		Family: "stack",
+		MinGap: func(n int) int64 { return int64(600 + 50*n + 25*recBatch) },
+		MaxGap: func(minGap int64) int64 { return 3 * minGap },
+		Events: func(*workload.Round) int { return int(target) * recBatch * 4 },
+		Words: func(*workload.Round) uint64 {
+			return uint64(arenaCap+8)*pmem.WordsPerLine + qnode.PackedWords(recSegNodes, recNseg) + 1<<15
+		},
+		Build: func(r *workload.Round) workload.Hooks {
+			rec := r.Rec
+			arena := qnode.NewArena(r.Mem, arenaCap)
+			s := New(Config{
+				Mem:     r.Mem,
+				Space:   rcas.NewSpace(r.Mem, r.N),
+				Arena:   arena,
+				P:       r.N,
+				Durable: true,
+				Opt:     true,
+			})
+			s.Register(r.Reg)
+			port := r.RT.Proc(0).Mem()
+			s.Init(port, 1)
+			npool = qnode.NewPackedPool(r.Mem, arena, recSegNodes, recNseg, r.N)
+			push := BatchPusher(s, npool)
+
+			var pusherDone atomic.Bool
+			var popped atomic.Uint64 // approximate (replay may double-count): throttling only
+			vals := make([]uint64, recBatch)
+			pushDrv := r.Reg.Register("recycle-pusher", false,
+				func(c *capsule.Ctx) { // pc0: claim the next batch durably
+					b := c.Local(1)
+					if b >= target && !r.KeepGoing() {
+						pusherDone.Store(true)
+						c.Finish()
+						return
+					}
+					// Volatile bump allocation makes batches far cheaper than
+					// pops, so an unthrottled pusher would outrun the poppers
+					// and exhaust the pool with live (un-retirable) depth. Hold
+					// pushing while roughly recHighWater nodes are outstanding.
+					for b*recBatch > popped.Load()+recHighWater && r.KeepGoing() {
+						c.P().Step()
+						runtime.Gosched()
+					}
+					c.SetLocal(1, b+1)
+					c.Boundary(1)
+				},
+				func(c *capsule.Ctx) { // pc1: push the batch, or abandon a crashed one
+					if c.Crashed() {
+						// The batch may or may not have spliced before the crash
+						// (at most once, never torn); its pushes stay invoked-
+						// but-unreturned and the restart wrapper rolled back any
+						// un-spliced allocations.
+						c.SetLocal(2, c.Local(2)+1)
+						c.Boundary(0)
+						return
+					}
+					b := c.Local(1) - 1
+					pid := c.P().ID()
+					for j := range vals {
+						vals[j] = recVal(b, j)
+						rec.Invoke(pid, history.OpPush, b*recBatch+uint64(j), vals[j], 0, c.Mem().Stats)
+					}
+					push(c, vals)
+					for j := range vals {
+						// Recorded after the batch's PersistEpoch: durable.
+						rec.Return(pid, history.OpPush, b*recBatch+uint64(j), true, 0, c.Mem().Stats)
+					}
+					c.Boundary(0)
+				},
+			)
+			popDrv := r.Reg.Register("recycle-popper", false,
+				func(c *capsule.Ctx) { // pc0: pop until the pusher is done and the stack drained
+					if pusherDone.Load() && c.Local(2) > 0 && !r.KeepGoing() {
+						c.Finish()
+						return
+					}
+					rec.Invoke(c.P().ID(), history.OpPop, c.Local(1), 0, 0, c.Mem().Stats)
+					c.Call(s.Routine(), s.PopEntry(), 1, nil, []int{3, 4})
+				},
+				func(c *capsule.Ctx) { // pc1: account the pop
+					i := c.Local(1)
+					ok := c.Local(3) != 0
+					rec.Return(c.P().ID(), history.OpPop, i, ok, c.Local(4), c.Mem().Stats)
+					if ok {
+						popped.Add(1)
+						c.SetLocal(2, 0)
+					} else {
+						c.SetLocal(2, c.Local(2)+1)
+					}
+					c.SetLocal(1, i+1)
+					c.Boundary(0)
+				},
+			)
+
+			for i := 0; i < P; i++ {
+				r.Install(i, popDrv)
+			}
+			r.Install(P, pushDrv)
+			return workload.Hooks{
+				Restart: func(i int) {
+					if i == P { // the pusher: a restart abandons its in-flight batch
+						npool.Rollback()
+					}
+				},
+				Final: func() history.FinalState { return history.FinalState{Residue: s.Drain(port)} },
+				Check: func(history.FinalState, [][]uint64, *workload.StressReport) error {
+					if npool.Recycled() == 0 {
+						return errors.New("pool never recycled a segment: the round did not exercise retire-driven reclamation")
+					}
+					return nil
+				},
+			}
+		},
+	}
+	// Counter stays 0: a crashed batch is abandoned, so push IDs have
+	// holes and only the family's ordering checker applies.
+	rep, err := workload.RunRound(spec, workload.StressConfig{
+		Procs: P + 1, Crashes: quota, Seed: 23, Shared: shared, Audit: true, ArtifactDir: t.TempDir(),
 	})
-	reg := capsule.NewRegistry()
-	s.Register(reg)
-	s.Init(rt.Proc(0).Mem(), 1)
-	npool := qnode.NewPackedPool(mem, arena, recSegNodes, recNseg, N)
-	push := BatchPusher(s, npool)
-
-	crashEvents := func() uint64 {
-		if shared {
-			return rt.SystemCrashes()
-		}
-		var n uint64
-		for i := 0; i < N; i++ {
-			n += rt.Proc(i).Restarts()
-		}
-		return n
+	if err != nil {
+		t.Fatal(err)
 	}
-	keepGoing := func() bool { return crashEvents() < quota }
-	rec := history.NewRecorder(N, history.StressCapacity(int(target)*recBatch*4, int(quota)))
-	rt.OnSystemCrash = func(uint64) { rec.Crash() }
-
-	var pusherDone atomic.Bool
-	var popped atomic.Uint64 // approximate (replay may double-count): throttling only
-	vals := make([]uint64, recBatch)
-	pushDrv := reg.Register("recycle-pusher", false,
-		func(c *capsule.Ctx) { // pc0: claim the next batch durably
-			b := c.Local(1)
-			if b >= target && !keepGoing() {
-				pusherDone.Store(true)
-				c.Finish()
-				return
-			}
-			// Volatile bump allocation makes batches far cheaper than
-			// pops, so an unthrottled pusher would outrun the poppers
-			// and exhaust the pool with live (un-retirable) depth. Hold
-			// pushing while roughly recHighWater nodes are outstanding.
-			for b*recBatch > popped.Load()+recHighWater && keepGoing() {
-				c.P().Step()
-				runtime.Gosched()
-			}
-			c.SetLocal(1, b+1)
-			c.Boundary(1)
-		},
-		func(c *capsule.Ctx) { // pc1: push the batch, or abandon a crashed one
-			if c.Crashed() {
-				// The batch may or may not have spliced before the crash
-				// (at most once, never torn); its pushes stay invoked-
-				// but-unreturned and the restart wrapper rolled back any
-				// un-spliced allocations.
-				c.SetLocal(2, c.Local(2)+1)
-				c.Boundary(0)
-				return
-			}
-			b := c.Local(1) - 1
-			pid := c.P().ID()
-			for j := range vals {
-				vals[j] = recVal(b, j)
-				rec.Invoke(pid, history.OpPush, b*recBatch+uint64(j), vals[j], 0, c.Mem().Stats)
-			}
-			push(c, vals)
-			for j := range vals {
-				// Recorded after the batch's PersistEpoch: durable.
-				rec.Return(pid, history.OpPush, b*recBatch+uint64(j), true, 0, c.Mem().Stats)
-			}
-			c.Boundary(0)
-		},
-	)
-	popDrv := reg.Register("recycle-popper", false,
-		func(c *capsule.Ctx) { // pc0: pop until the pusher is done and the stack drained
-			if pusherDone.Load() && c.Local(2) > 0 && !keepGoing() {
-				c.Finish()
-				return
-			}
-			rec.Invoke(c.P().ID(), history.OpPop, c.Local(1), 0, 0, c.Mem().Stats)
-			c.Call(s.Routine(), s.PopEntry(), 1, nil, []int{3, 4})
-		},
-		func(c *capsule.Ctx) { // pc1: account the pop
-			i := c.Local(1)
-			ok := c.Local(3) != 0
-			rec.Return(c.P().ID(), history.OpPop, i, ok, c.Local(4), c.Mem().Stats)
-			if ok {
-				popped.Add(1)
-				c.SetLocal(2, 0)
-			} else {
-				c.SetLocal(2, c.Local(2)+1)
-			}
-			c.SetLocal(1, i+1)
-			c.Boundary(0)
-		},
-	)
-
-	bases := capsule.AllocProcAreas(mem, N)
-	for i := 0; i < P; i++ {
-		capsule.Install(rt.Proc(i).Mem(), bases[i], reg, popDrv)
-	}
-	capsule.Install(rt.Proc(P).Mem(), bases[P], reg, pushDrv)
-
-	minGap := int64(600 + 50*N + 25*recBatch)
-	maxGap := 3 * minGap
-	for i := 0; i < N; i++ {
-		rt.Proc(i).AutoCrash(seed*31+int64(i), minGap, maxGap)
-	}
-	rt.RunToCompletion(func(i int) proc.Program {
-		if i == P { // the pusher: a restart abandons its in-flight batch
-			return func(p *proc.Proc) {
-				if p.PeekCrashed() {
-					rec.Restart(i)
-					npool.Rollback()
-				}
-				capsule.NewMachine(p, reg, bases[i]).Run()
-			}
-		}
-		return func(p *proc.Proc) {
-			if p.PeekCrashed() {
-				rec.Restart(i)
-			}
-			capsule.NewMachine(p, reg, bases[i]).Run()
-		}
-	})
-	for i := 0; i < N; i++ {
-		rt.Proc(i).Disarm()
-	}
-	rt.CrashSystem()
-
-	h := rec.History()
-	h.Final.Residue = s.Drain(rt.Proc(0).Mem())
-	meta := history.RunMeta{Stresser: "pstack-recycle", Family: "stack", Seed: seed, Shared: shared, Procs: N}
-	if err := workload.Audit(meta, t.TempDir(), h, nil, rt.TotalStats()); err != nil {
-		t.Fatalf("durable-linearizability audit failed: %v", err)
-	}
-
-	for i := 0; i < N; i++ {
-		depth, pc, _ := capsule.NewMachine(rt.Proc(i), reg, bases[i]).LoadState()
-		if depth != 0 || pc != capsule.PCDone {
-			t.Fatalf("proc %d did not finish: depth=%d pc=%d", i, depth, pc)
-		}
-	}
-	if got := crashEvents(); got < quota {
-		t.Fatalf("only %d crash events absorbed, want %d", got, quota)
-	}
-	if npool.Recycled() == 0 {
-		t.Fatal("pool never recycled a segment: the round did not exercise retire-driven reclamation")
-	}
-	t.Logf("shared=%v: %d batches committed, %d segments recycled, %d rollbacks, %d crash events",
-		shared, npool.Epoch(), npool.Recycled(), npool.RolledBack(), crashEvents())
+	t.Logf("shared=%v: %d batches committed, %d segments recycled, %d rollbacks, %d crashes, %d restarts",
+		shared, npool.Epoch(), npool.Recycled(), npool.RolledBack(), rep.Crashes, rep.Restarts)
 }
 
 func TestPackedRecyclingUnderCrashStress(t *testing.T) {

@@ -6,19 +6,16 @@ import (
 	"delayfree/internal/capsule"
 	"delayfree/internal/history"
 	"delayfree/internal/pmem"
-	"delayfree/internal/proc"
 	"delayfree/internal/qnode"
 	"delayfree/internal/rcas"
 	"delayfree/internal/workload"
 )
 
-// Crash-stress for the stack family, mirroring the pmap CrashStress
-// pattern: P processes run balanced push-pop pairs through a persisted
-// capsule driver under randomized step-count crash injection —
-// full-system crashes in the shared-cache model, independent
-// per-process crashes in the private model; the scripts loop until the
-// crash quota is met so every crash hits live operations. Pushed values are
-// unique (pid<<40|k with k the pair index), so the exactness check is a
+// Crash-stress for the stack family (the round itself is
+// workload.RunRound): P processes run balanced push-pop pairs through a
+// persisted capsule driver; the scripts loop until the crash quota is
+// met so every crash hits live operations. Pushed values are unique
+// (pid<<40|k with k the pair index), so the exactness check is a
 // conservation argument over the *persisted* driver accounting:
 //
 //	pushes - pops = nodes left in the stack, and
@@ -87,196 +84,90 @@ func RegisterStressDriver(reg *capsule.Registry, s *Stack, pairs uint64, keepGoi
 	)
 }
 
-// CrashStress runs one crash-injection exactness round under cfg (zero
-// fields select the family defaults) and reports what it absorbed. It
-// is registered with the workload registry as stresser "pstack".
-func CrashStress(cfg workload.StressConfig) (workload.StressReport, error) {
-	if cfg.Ops < 0 || cfg.Crashes < 0 {
-		return workload.StressReport{}, fmt.Errorf("pstack: negative Ops/Crashes (%d/%d)", cfg.Ops, cfg.Crashes)
-	}
-	P := cfg.Procs
-	if P <= 0 {
-		P = 4
-	}
-	pairs := uint64(cfg.Ops)
-	if pairs == 0 {
-		pairs = 200
-	}
-	quota := cfg.Crashes
-	if quota == 0 {
-		quota = 250
-	}
-	mode := pmem.Private
-	if cfg.Shared {
-		mode = pmem.Shared
-	}
-	// Arena headroom: live nodes are bounded by in-flight pairs, but a
-	// push-capsule repetition can leak one node per restart (see qnode),
-	// so budget for the crash quota too.
-	arenaCap := uint32(P)*64 + uint32(quota)*uint32(P)*2 + 4096
-	words := uint64(arenaCap+8)*pmem.WordsPerLine + uint64(P)*capsule.ProcWords + 1<<15
-	mem := pmem.New(pmem.Config{
-		Words:   words,
-		Mode:    mode,
-		Checked: true,
-		Seed:    cfg.Seed,
-	})
-	rt := proc.NewRuntime(mem, P)
-	// Shared rounds gang crashes into full-system failures; private
-	// rounds inject independent per-process crashes (the paper's PPM
-	// failure mode), so one process recovers while peers keep mutating.
-	rt.SystemCrashMode = cfg.Shared
-	arena := qnode.NewArena(mem, arenaCap)
-	s := New(Config{
-		Mem:     mem,
-		Space:   rcas.NewSpace(mem, P),
-		Arena:   arena,
-		P:       P,
-		Durable: cfg.Shared,
-		Opt:     cfg.Shared,
-	})
-	reg := capsule.NewRegistry()
-	s.Register(reg)
-	bases := capsule.AllocProcAreas(mem, P)
-	s.Init(rt.Proc(0).Mem(), 0)
-	// Crash events: full-system crashes when ganged (shared model),
-	// individual restarts otherwise.
-	crashEvents := func() uint64 {
-		if cfg.Shared {
-			return rt.SystemCrashes()
-		}
-		var n uint64
-		for i := 0; i < P; i++ {
-			n += rt.Proc(i).Restarts()
-		}
-		return n
-	}
-	// Audit support: the recorder lives in host memory (the volatile
-	// ground truth the durable state is checked against), and the
-	// runtime's stopped-world crash hook places the global crash markers.
-	var rec *history.Recorder
-	if cfg.Audit {
-		rec = history.NewRecorder(P, history.StressCapacity(int(pairs), quota))
-		rt.OnSystemCrash = func(uint64) { rec.Crash() }
-	}
-	drv := RegisterStressDriver(reg, s, pairs, func() bool {
-		return crashEvents() < uint64(quota)
-	}, rec)
-	for i := 0; i < P; i++ {
-		capsule.Install(rt.Proc(i).Mem(), bases[i], reg, drv)
-	}
-
-	// Step-based crash injection: the minimum gap must leave room to
-	// complete a capsule after a restart wave or the run livelocks. The
-	// stack's capsules are O(1) (single-cell CAS generators, constant
-	// recovery), so a flat floor scaled by P suffices.
-	minGap, maxGap := cfg.MinGap, cfg.MaxGap
-	if minGap == 0 {
-		minGap = 1200 + int64(P)*200
-	}
-	if maxGap < minGap {
-		maxGap = 4 * minGap
-	}
-	for i := 0; i < P; i++ {
-		rt.Proc(i).AutoCrash(cfg.Seed*31+int64(i), minGap, maxGap)
-	}
-
-	rt.RunToCompletion(func(i int) proc.Program {
-		return func(p *proc.Proc) {
-			if p.PeekCrashed() {
-				rec.Restart(i)
-			}
-			capsule.NewMachine(p, reg, bases[i]).Run()
-		}
-	})
-	for i := 0; i < P; i++ {
-		rt.Proc(i).Disarm()
-	}
-
-	// A final crash drops anything left unfenced; the checks below
-	// therefore audit the *durable* state.
-	rt.CrashSystem()
-
-	report := workload.StressReport{Crashes: rt.SystemCrashes(), Stats: rt.TotalStats()}
-	for i := 0; i < P; i++ {
-		report.Restarts += rt.Proc(i).Restarts()
-	}
-
-	// Ordering audit first, before the conservation checks below: when a
-	// round is broken the failing-history artifact must be written even
-	// if the legacy checks would reject the round on their own.
-	if rec != nil {
-		completed := make([]uint64, P)
-		for i := 0; i < P; i++ {
-			completed[i] = capsule.NewMachine(rt.Proc(i), reg, bases[i]).Detect(sdIdx).Completed
-		}
-		h := rec.History()
-		h.Final.Residue = s.Drain(rt.Proc(0).Mem())
-		meta := history.RunMeta{Stresser: "pstack", Family: "stack", Seed: cfg.Seed, Shared: cfg.Shared, Procs: P}
-		if err := workload.Audit(meta, cfg.ArtifactDir, h, completed, report.Stats); err != nil {
-			return report, err
-		}
-	}
-
-	if crashEvents() < uint64(quota) {
-		return report, fmt.Errorf("only %d crash events absorbed, want %d", crashEvents(), quota)
-	}
-
-	// Shadow accounting from each process's persisted driver state.
-	var pushCount, pushSum, popCount, popSum uint64
-	perProc := make([]uint64, P) // persisted pair counts, for value validation
-	for i := 0; i < P; i++ {
-		mach := capsule.NewMachine(rt.Proc(i), reg, bases[i])
-		depth, pc, locals := mach.LoadState()
-		if depth != 0 || pc != capsule.PCDone {
-			return report, fmt.Errorf("process %d did not finish: depth=%d pc=%d", i, depth, pc)
-		}
-		n := locals[sdIdx]
-		if n < pairs {
-			return report, fmt.Errorf("process %d ran %d pairs, script demands at least %d", i, n, pairs)
-		}
-		perProc[i] = n
-		pushCount += n
-		for k := uint64(0); k < n; k++ {
-			pushSum += valueTag(i, k)
-		}
-		popCount += locals[sdPops]
-		popSum += locals[sdSum]
-		report.Ops += 2 * n
-	}
-
-	port := rt.Proc(0).Mem()
-	left := s.Drain(port)
-	if pushCount-popCount != uint64(len(left)) {
-		return report, fmt.Errorf("stack holds %d nodes, conservation demands %d (pushes=%d pops=%d)",
-			len(left), pushCount-popCount, pushCount, popCount)
-	}
-	var leftSum uint64
-	seen := map[uint64]bool{}
-	for _, v := range left {
-		pid := int(v >> 40)
-		k := v & (1<<40 - 1)
-		if pid >= P || k >= perProc[pid] {
-			return report, fmt.Errorf("stack holds value %#x never durably pushed (pid=%d k=%d)", v, pid, k)
-		}
-		if seen[v] {
-			return report, fmt.Errorf("stack holds value %#x twice", v)
-		}
-		seen[v] = true
-		leftSum += v
-	}
-	if popSum+leftSum != pushSum {
-		return report, fmt.Errorf("value sums: popped %d + left %d != pushed %d (lost or duplicated operations)",
-			popSum, leftSum, pushSum)
-	}
-	return report, nil
+// stressArena budgets the node arena: live nodes are bounded by
+// in-flight pairs, but a push-capsule repetition can leak one node per
+// restart (see qnode), so budget for the crash quota too.
+func stressArena(r *workload.Round) uint32 {
+	return uint32(r.Procs)*64 + uint32(r.Crashes)*uint32(r.Procs)*2 + 4096
 }
 
 func init() {
-	workload.RegisterStresser(workload.Stresser{
-		Name:   "pstack",
-		Family: "stack",
-		Run:    CrashStress,
+	workload.RegisterStressSpec(workload.StressSpec{
+		Name:    "pstack",
+		Family:  "stack",
+		Ops:     200,
+		Crashes: 250,
+		// The stack's capsules are O(1) (single-cell CAS generators,
+		// constant recovery), so a flat floor scaled by P suffices.
+		MinGap: func(n int) int64 { return 1200 + int64(n)*200 },
+		MaxGap: func(minGap int64) int64 { return 4 * minGap },
+		Words: func(r *workload.Round) uint64 {
+			return uint64(stressArena(r)+8)*pmem.WordsPerLine + 1<<15
+		},
+		Build: func(r *workload.Round) workload.Hooks {
+			arena := qnode.NewArena(r.Mem, stressArena(r))
+			s := New(Config{
+				Mem:     r.Mem,
+				Space:   rcas.NewSpace(r.Mem, r.N),
+				Arena:   arena,
+				P:       r.N,
+				Durable: r.Shared,
+				Opt:     r.Shared,
+			})
+			s.Register(r.Reg)
+			port := r.RT.Proc(0).Mem()
+			s.Init(port, 0)
+			pairs := uint64(r.Ops)
+			drv := RegisterStressDriver(r.Reg, s, pairs, r.KeepGoing, r.Rec)
+			for i := 0; i < r.N; i++ {
+				r.Install(i, drv)
+			}
+			return workload.Hooks{
+				Counter: sdIdx,
+				Final:   func() history.FinalState { return history.FinalState{Residue: s.Drain(port)} },
+				Check: func(final history.FinalState, locals [][]uint64, rep *workload.StressReport) error {
+					// Shadow accounting from each process's persisted driver state.
+					var pushCount, pushSum, popCount, popSum uint64
+					for i, l := range locals {
+						n := l[sdIdx]
+						if n < pairs {
+							return fmt.Errorf("process %d ran %d pairs, script demands at least %d", i, n, pairs)
+						}
+						pushCount += n
+						for k := uint64(0); k < n; k++ {
+							pushSum += valueTag(i, k)
+						}
+						popCount += l[sdPops]
+						popSum += l[sdSum]
+						rep.Ops += 2 * n
+					}
+					left := final.Residue
+					if pushCount-popCount != uint64(len(left)) {
+						return fmt.Errorf("stack holds %d nodes, conservation demands %d (pushes=%d pops=%d)",
+							len(left), pushCount-popCount, pushCount, popCount)
+					}
+					var leftSum uint64
+					seen := map[uint64]bool{}
+					for _, v := range left {
+						pid := int(v >> 40)
+						k := v & (1<<40 - 1)
+						if pid >= len(locals) || k >= locals[pid][sdIdx] {
+							return fmt.Errorf("stack holds value %#x never durably pushed (pid=%d k=%d)", v, pid, k)
+						}
+						if seen[v] {
+							return fmt.Errorf("stack holds value %#x twice", v)
+						}
+						seen[v] = true
+						leftSum += v
+					}
+					if popSum+leftSum != pushSum {
+						return fmt.Errorf("value sums: popped %d + left %d != pushed %d (lost or duplicated operations)",
+							popSum, leftSum, pushSum)
+					}
+					return nil
+				},
+			}
+		},
 	})
 	workload.RegisterHistoryChecker(workload.HistoryChecker{
 		Family: "stack",

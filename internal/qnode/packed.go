@@ -131,7 +131,7 @@ func NewPackedPool(mem *pmem.Memory, arena *Arena, segNodes, nseg uint32, nprocs
 	if nseg == 0 {
 		panic("qnode: packed pool needs at least one segment")
 	}
-	lo := arena.extEnd()
+	lo := arena.End()
 	hi := uint64(lo) + uint64(segNodes)*uint64(nseg)
 	if hi > rcasIndexMax {
 		panic(fmt.Sprintf("qnode: packed extent end %d exceeds the rcas 28-bit index space", hi))

@@ -79,7 +79,7 @@ func TestPackedAddressing(t *testing.T) {
 	if arena.Val(ns[0]) != arena.Addr(ns[0])+OffVal || arena.Next(ns[0]) != arena.Addr(ns[0])+OffNext {
 		t.Fatal("Val/Next offsets wrong for packed node")
 	}
-	// A second pool stacks after the first (extEnd).
+	// A second pool stacks after the first (Arena.End).
 	pp2 := NewPackedPool(mem, arena, ptSegNodes, 1, ptProcs)
 	if pp2.Lo() != pp.Hi() {
 		t.Fatalf("second extent starts at %d, want %d", pp2.Lo(), pp.Hi())

@@ -81,8 +81,9 @@ func (a *Arena) Addr(i uint32) pmem.Addr {
 	panic(fmt.Sprintf("qnode: node index %d out of range (cap %d, %d packed extents)", i, a.cap, len(a.ext)))
 }
 
-// extEnd returns the first node index past every attached extent.
-func (a *Arena) extEnd() uint32 {
+// End returns the first node index past the base region and every
+// attached extent: an upper bound on the nodes any chain can hold.
+func (a *Arena) End() uint32 {
 	end := a.cap
 	for k := range a.ext {
 		if a.ext[k].hi > end {

@@ -258,3 +258,77 @@ func TestConcurrentCrashStress(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycleScanLeavesInstalledPoolSlotAlone is the deterministic
+// regression for the recycle race TestConcurrentCrashStress used to hit
+// by luck of the schedule. After Recover every pool slot carries its
+// pool owner's stamp, and installing one into Ptr leaves the stamp in
+// place; with a reader's announcement naming that slot, the former
+// owner's forced announcement scan and another process's swing-out
+// (which CASes the slot's status to itself) must not both write the
+// status word. The sweep replays A's forced-scan Write with B's Write
+// injected before every one of its steps — in particular between A's
+// status read and the mark CAS it used to issue — so it needs no sleep
+// and no scheduler luck.
+func TestRecycleScanLeavesInstalledPoolSlotAlone(t *testing.T) {
+	const M, P = 2, 3 // processes: A = 0, B = 1, the reader = 2
+	type rig struct {
+		hA, hB *Handle
+		portA  *pmem.Port
+		s      uint32 // the pool slot A installed for object 0
+	}
+	mk := func() rig {
+		mem := pmem.New(pmem.Config{Words: 1 << 14})
+		setup := mem.NewPort()
+		a := New(mem, setup, M, P, func(int) uint64 { return 0 })
+		pools := a.Recover(setup)
+		r := rig{portA: mem.NewPort()}
+		r.hA = a.NewHandleWithPool(r.portA, 0, pools[0])
+		r.hB = a.NewHandleWithPool(mem.NewPort(), 1, pools[1])
+		reader := a.NewHandleWithPool(mem.NewPort(), 2, pools[2])
+		r.s = r.hA.freePtr
+		r.hA.Write(0, 1)
+		if got := reader.getObjectIdx(0); got != r.s { // announced, never released
+			t.Fatalf("reader resolved object 0 to slot %d, want A's installed slot %d", got, r.s)
+		}
+		for len(r.hA.free) > 0 { // drain A's free list: its next Write must scan
+			r.hA.Write(1, 2)
+		}
+		return r
+	}
+
+	clean := mk()
+	before := clean.portA.Stats.Steps
+	clean.hA.Write(1, 3)
+	steps := clean.portA.Stats.Steps - before
+
+	for k := uint64(1); k <= steps; k++ {
+		r := mk()
+		var step uint64
+		r.portA.Hook = func() {
+			if step++; step == k {
+				r.hB.Write(0, 9) // swings s out and takes ownership of its status word
+			}
+		}
+		r.hA.Write(1, 3)
+		r.portA.Hook = nil
+		if got := r.hB.Read(0); got != 9 {
+			t.Fatalf("k=%d: object 0 reads %d, want B's 9", k, got)
+		}
+		if got := r.hA.Read(1); got != 3 {
+			t.Fatalf("k=%d: object 1 reads %d, want A's 3", k, got)
+		}
+		for _, f := range append(r.hA.free, r.hA.freePtr) {
+			if f == r.s {
+				t.Fatalf("k=%d: A reclaimed slot %d, which B retired and the reader still announces", k, r.s)
+			}
+		}
+		quarantined := false
+		for _, q := range r.hB.retired {
+			quarantined = quarantined || q == r.s
+		}
+		if !quarantined {
+			t.Fatalf("k=%d: slot %d left B's retired list while still announced", k, r.s)
+		}
+	}
+}

@@ -21,6 +21,14 @@
 // (⟨slot:32 | tag:32⟩) so a stale Write's swing CAS cannot succeed after
 // its expected slot has been recycled and reinstalled (the ABA defence
 // the original obtains from its more elaborate ownership argument).
+//
+// A second, for recovery: the recycle scan decides "this announced slot
+// is mine to quarantine" from membership in the handle's own volatile
+// retired list, not from the slot's persistent owner word. Recover
+// stamps an owner on every pool slot and installing a slot into Ptr
+// leaves that stamp in place, so the owner word alone would let a
+// slot's former owner and the process swinging it out write one status
+// word concurrently; a slot live in Ptr is in nobody's retired list.
 package wcas
 
 import (
@@ -384,6 +392,17 @@ func (h *Handle) checkObj(j int) {
 	}
 }
 
+// isRetired reports whether slot s is in this handle's retired list:
+// the only slots whose status word the recycle scan may mark.
+func (h *Handle) isRetired(s uint32) bool {
+	for _, r := range h.retired {
+		if r == s {
+			return true
+		}
+	}
+	return false
+}
+
 // recycle retires a slot this process just took ownership of and
 // returns a fresh free slot, scanning announcements when the free list
 // is empty (Algorithm 8, recycle).
@@ -409,7 +428,7 @@ func (h *Handle) recycle(old uint32) uint32 {
 			if !annHelp(w) && idx < uint32(a.slots) {
 				st := a.status + pmem.Addr(idx)
 				sw := p.Read(st)
-				if statusOwner(sw) == h.pid && !statusAnnounced(sw) {
+				if h.isRetired(idx) && !statusAnnounced(sw) {
 					annList = append(annList, idx)
 					if !p.CAS(st, sw, packStatus(h.pid, true)) {
 						panic("wcas: status mark CAS failed")
