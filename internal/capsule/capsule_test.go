@@ -453,6 +453,105 @@ func TestFullFrameBoundaryCoalesces(t *testing.T) {
 	}
 }
 
+// persistCost is what one terminal (or Install) charged the port.
+type persistCost struct{ effFlushes, fences uint64 }
+
+func costOf(port *pmem.Port, f func()) persistCost {
+	before := port.Stats
+	f()
+	d := port.Stats.Sub(before)
+	return persistCost{d.EffectiveFlushes(), d.Fences}
+}
+
+// TestCallReturnCosts pins the live-bit protocol's charged write-backs
+// per terminal, for the shape every crash stresser runs: a full-frame
+// driver with no dirty slots Calling a compact routine that returns one
+// value. Call is {callee line} then {pending|live}; Return is {return
+// copies} then {control word, live-bit clear} — and that first fence
+// doubles as the one the callee's own unfenced flush needs.
+func TestCallReturnCosts(t *testing.T) {
+	for _, unfenced := range []bool{false, true} {
+		mem := pmem.New(pmem.Config{Words: 1 << 14, Mode: pmem.Shared, Checked: true})
+		rt := proc.NewRuntime(mem, 1)
+		base := AllocProcAreas(mem, 1)[0]
+		cell := mem.AllocLines(1)
+		reg := NewRegistry()
+		var calls, returns []persistCost
+		callee := reg.Register("callee", true, func(c *Ctx) {
+			if unfenced {
+				c.Mem().Write(cell, c.Local(1))
+				c.Mem().Flush(cell)
+			}
+			returns = append(returns, costOf(c.Mem(), func() { c.Return(c.Local(1) + 1) }))
+		})
+		main := reg.Register("main", false,
+			func(c *Ctx) {
+				if c.Local(2) == 3 {
+					c.Finish()
+					return
+				}
+				calls = append(calls, costOf(c.Mem(), func() {
+					c.Call(callee, 0, 0, []uint64{c.Local(2)}, []int{2})
+				}))
+			},
+		)
+		Install(rt.Proc(0).Mem(), base, reg, main)
+		rt.RunToCompletion(func(int) proc.Program {
+			return func(p *proc.Proc) { NewMachine(p, reg, base).Run() }
+		})
+		// Steady state: a first Call into a frame may also write its header line.
+		for i, want := 1, (persistCost{2, 2}); i < 3; i++ {
+			if calls[i] != want || returns[i] != want {
+				t.Fatalf("unfenced=%v iteration %d: Call %+v, Return %+v, want %+v each",
+					unfenced, i, calls[i], returns[i], want)
+			}
+		}
+	}
+}
+
+// TestBoundaryAfterElidedReturnCost pins that clearing the live bit an
+// elided return left behind rides the boundary's own control-word line:
+// the boundary costs what a plain one dirtying the same lines costs.
+func TestBoundaryAfterElidedReturnCost(t *testing.T) {
+	e := newROBase(pmem.Shared, 1)
+	lookup := readOnlyOp(e)
+	var afterElided, plain persistCost
+	e.drv = e.reg.Register("driver", false,
+		func(c *Ctx) { c.Call(lookup, 0, 1, []uint64{5}, []int{roDrvRet}) },
+		func(c *Ctx) {
+			c.SetLocal(roDrvAcc, c.Local(roDrvRet))
+			afterElided = costOf(c.Mem(), func() { c.Boundary(2) })
+		},
+		func(c *Ctx) {
+			c.SetLocal(roDrvAcc, c.Local(roDrvAcc)+1)
+			plain = costOf(c.Mem(), func() { c.Boundary(3) })
+		},
+		func(c *Ctx) { c.Finish(c.Local(roDrvAcc)) },
+	)
+	e.install()
+	if rets := e.run(); len(rets) != 1 || rets[0] != 106 {
+		t.Fatalf("rets=%v, want [106]", rets)
+	}
+	if want := (persistCost{2, 2}); afterElided != want || plain != want {
+		t.Fatalf("boundary after elided return %+v, plain %+v, want %+v each", afterElided, plain, want)
+	}
+}
+
+// TestInstallOneFence pins that installing a frame is one fence: there
+// is no separate restart word to persist after it.
+func TestInstallOneFence(t *testing.T) {
+	for _, compact := range []bool{false, true} {
+		e := newCounterEnv(pmem.Shared, 1, compact)
+		port := e.rt.Proc(0).Mem()
+		if got := costOf(port, func() { Install(port, e.base, e.reg, e.main, 1) }); got.fences != 1 {
+			t.Fatalf("compact=%v: Install cost %+v, want one fence", compact, got)
+		}
+		if got := costOf(port, func() { InstallIdle(port, e.base, e.reg, e.main) }); got.fences != 1 {
+			t.Fatalf("compact=%v: InstallIdle cost %+v, want one fence", compact, got)
+		}
+	}
+}
+
 // InstallRun installs the counter loop with n iterations and runs it to
 // completion, asserting the count is exact.
 func InstallRun(t *testing.T, e *counterEnv, n uint64) {

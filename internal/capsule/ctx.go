@@ -112,18 +112,15 @@ func (c *Ctx) elide() {
 	c.m.mem.Stats.BoundariesElided++
 }
 
-// commitRestartIfPending swings the persisted restart pointer back to
-// the current depth when elided Returns left it pointing deeper. It
-// must run after the current commit's own fence: the restart pointer
-// may only advance over fully persisted state.
-func (m *Machine) commitRestartIfPending() {
-	if !m.pendingRestart {
-		return
+// clearStaleLive clears the current frame's live bit when an elided
+// Return left it set, without persisting: the caller writes it into the
+// frame's control-word line and owns that line's flush. A non-live
+// pending word is never read, so it is simply zeroed.
+func (m *Machine) clearStaleLive(fr pmem.Addr) {
+	if m.staleLive {
+		m.mem.Write(fr+framePendingOff, 0)
+		m.staleLive = false
 	}
-	m.mem.Write(restartAddr(m.base), uint64(m.depth))
-	m.mem.Flush(restartAddr(m.base))
-	m.mem.Fence()
-	m.pendingRestart = false
 }
 
 // writeDirty writes the dirty slots of the current frame into the copy
@@ -213,12 +210,15 @@ func (c *Ctx) persistBoundary(nextPC int) {
 		// unfenced flushes complete.
 		m.mem.Fence()
 	}
+	// Control word first, live bit second: same-line writes persist in
+	// order, so a crash that still finds the callee live re-runs its
+	// read-only span and repeats this boundary over intact pending copies.
 	m.mem.Write(fr+frameCtlOff, packCtl(nextPC, newMask))
+	m.clearStaleLive(fr)
 	m.mem.Flush(fr + frameCtlOff)
 	m.mem.Fence()
 	m.mask[d] = newMask
 	m.pc[d] = nextPC
-	m.commitRestartIfPending()
 	c.commit()
 }
 
@@ -244,7 +244,6 @@ func (c *Ctx) compactBoundary(fr pmem.Addr, nextPC int) {
 	m.mem.Fence()
 	m.epoch[d] = e
 	m.pc[d] = nextPC
-	m.commitRestartIfPending()
 	c.commit()
 }
 
@@ -253,9 +252,10 @@ func (c *Ctx) compactBoundary(fr pmem.Addr, nextPC int) {
 // when the callee Returns, its return values are stored into the
 // caller's retSlots and the caller resumes at contPC. The caller's
 // dirty locals are persisted as part of the call. The commit point is
-// the restart-pointer swing; the caller's own control word is committed
-// later, by Return, via the pending word — so a crash anywhere in
-// between cleanly repeats either the calling capsule or the callee.
+// the pending word with its live bit, written once the callee frame is
+// durable; the caller's own control word is committed later, by Return,
+// from that pending word — so a crash anywhere in between cleanly
+// repeats either the calling capsule or the callee.
 func (c *Ctx) Call(rid RoutineID, entry, contPC int, args []uint64, retSlots []int) {
 	c.beginTerminal()
 	m := c.m
@@ -272,15 +272,17 @@ func (c *Ctx) Call(rid RoutineID, entry, contPC int, args []uint64, retSlots []i
 	if len(retSlots) > MaxRet {
 		panic("capsule: too many return slots")
 	}
-	// Elided Returns may have left the persisted restart pointer naming
-	// a deeper frame — the very frame this call is about to
-	// reinitialize. Swing it back to the current depth first, or a
-	// crash during the frame init below would resume a half-written
-	// callee. Resuming at the current depth replays the caller's last
-	// persisted boundary, which re-runs the (read-only) elided span up
-	// to this Call.
-	m.commitRestartIfPending()
 	fr := frameAddr(m.base, d)
+	// An elided Return may have left this frame's live bit naming the
+	// very frame this call is about to reinitialize. Clear it durably
+	// first, or a crash during the frame init below would resume a
+	// half-written callee. Resuming at the current depth replays the
+	// caller's last persisted boundary, which re-runs the (read-only)
+	// elided span up to this Call.
+	if m.staleLive {
+		m.clearStaleLive(fr)
+		m.mem.FlushFence(fr + framePendingOff)
+	}
 
 	// Pending mask: flip every slot that receives a new value between
 	// now and the Return commit — dirty locals, return slots, and the
@@ -292,15 +294,17 @@ func (c *Ctx) Call(rid RoutineID, entry, contPC int, args []uint64, retSlots []i
 	}
 	pmask := m.mask[d] ^ flips
 	addrs := c.writeDirty(fr, pmask)
-	m.mem.Write(fr+framePendingOff, packPending(contPC, pmask, retSlots))
-	addrs = append(addrs, fr+framePendingOff)
 
 	// Initialize the callee frame (idempotent under repetition); its
 	// writes join the caller's in one flush batch under a single fence.
+	// The header is rewritten only when the routine changes: for a
+	// compact callee that saves its line's write-back.
 	callee := m.reg.Routine(rid)
 	fr2 := frameAddr(m.base, d+1)
-	m.mem.Write(fr2+frameHdrOff, uint64(rid))
-	addrs = append(addrs, fr2+frameHdrOff)
+	if m.mem.Read(fr2+frameHdrOff) != uint64(rid) {
+		m.mem.Write(fr2+frameHdrOff, uint64(rid))
+		addrs = append(addrs, fr2+frameHdrOff)
+	}
 	seq := m.vol[d][SeqSlot]
 	if callee.Compact {
 		if len(args) >= MaxCompactSlots {
@@ -331,6 +335,10 @@ func (c *Ctx) Call(rid RoutineID, entry, contPC int, args []uint64, retSlots []i
 			m.mem.Write(sa, a)
 			addrs = append(addrs, sa)
 		}
+		// An earlier occupant that returned while its own callee's
+		// return was still elided left its live bit set; recovery would
+		// follow it past the new callee. It shares the control word's line.
+		m.mem.Write(fr2+framePendingOff, 0)
 		m.mem.Write(fr2+frameCtlOff, packCtl(entry, 0))
 		addrs = append(addrs, fr2+frameCtlOff)
 		m.mask[d+1] = 0
@@ -339,32 +347,35 @@ func (c *Ctx) Call(rid RoutineID, entry, contPC int, args []uint64, retSlots []i
 	m.flushBuf = addrs[:0]
 	m.mem.Fence()
 
-	// Commit: swing the restart pointer to the callee frame.
-	m.mem.Write(restartAddr(m.base), uint64(d+1))
-	m.mem.Flush(restartAddr(m.base))
-	m.mem.Fence()
+	// Commit: the continuation and the live bit in one word, written
+	// only now that the callee frame it makes live is durable.
+	m.mem.Write(fr+framePendingOff, packPending(contPC, pmask, retSlots)|pendingLive)
+	m.mem.FlushFence(fr + framePendingOff)
 
 	// Volatile view: caller resumes at contPC with pmask once Return
 	// commits; callee starts now.
 	m.mask[d] = pmask
 	m.pc[d] = contPC
-	m.depth = d + 1
-	m.rid[d+1] = rid
-	m.pc[d+1] = entry
-	for s := range m.vol[d+1] {
-		m.vol[d+1][s] = 0
-	}
-	m.vol[d+1][SeqSlot] = seq
-	for k, a := range args {
-		m.vol[d+1][1+k] = a
-	}
-	m.volOK[d+1] = true
+	m.enterCallee(rid, entry, args)
 	c.commit()
+}
+
+// enterCallee makes depth+1 the current frame in the volatile view:
+// zeroed locals, the threaded sequence number, and the arguments.
+func (m *Machine) enterCallee(rid RoutineID, entry int, args []uint64) {
+	d := m.depth + 1
+	m.rid[d] = rid
+	m.pc[d] = entry
+	m.vol[d] = [MaxSlots]uint64{}
+	m.vol[d][SeqSlot] = m.vol[m.depth][SeqSlot]
+	copy(m.vol[d][1:], args)
+	m.volOK[d] = true
+	m.depth = d
 }
 
 // CallRO is the read-only tier's call: a fully volatile invocation for
 // declared read-only callees (probe helpers). Nothing is persisted —
-// no callee frame, no pending word, no restart swing — so a crash
+// no callee frame, no pending word, no live bit — so a crash
 // anywhere inside the callee resumes the *caller's* last persisted
 // boundary and re-runs the whole span, which is sound exactly because
 // the span is read-only. Every capsule of the callee is implicitly
@@ -400,18 +411,7 @@ func (c *Ctx) CallRO(rid RoutineID, entry, contPC int, args []uint64, retSlots [
 		m.roRetSlots[d+1][k] = s
 	}
 	m.roCallerDirty[d+1] = c.dirty
-	seq := m.vol[d][SeqSlot]
-	m.depth = d + 1
-	m.rid[d+1] = rid
-	m.pc[d+1] = entry
-	for s := range m.vol[d+1] {
-		m.vol[d+1][s] = 0
-	}
-	m.vol[d+1][SeqSlot] = seq
-	for k, a := range args {
-		m.vol[d+1][1+k] = a
-	}
-	m.volOK[d+1] = true
+	m.enterCallee(rid, entry, args)
 }
 
 // Return ends the capsule and the current routine, delivering vals into
@@ -437,10 +437,10 @@ func (c *Ctx) Return(vals ...uint64) {
 // ReturnRO is the read-only tier's Return: when the callee span since
 // the Call's commit is clean (no persistent write, successful CAS or
 // flush), the return is delivered volatilely — the caller's pending
-// commit, the two Return fences and the restart swing are all elided,
+// commit, the two Return fences and the live-bit clear are all elided,
 // and the returned values plus the threaded sequence number ride the
-// caller's dirty set to its next persisted boundary, which also swings
-// the restart pointer back. A crash before that boundary resumes the
+// caller's dirty set to its next persisted boundary, which also clears
+// the live bit. A crash before that boundary resumes the
 // *callee* at its entry; the callee re-runs (pure reads) and returns
 // fresh values, and the caller's continuation repeats — so the caller
 // continuation up to its first persisted commit must itself be
@@ -481,9 +481,9 @@ func (c *Ctx) ReturnRO(vals ...uint64) {
 	m.vol[d-1][SeqSlot] = seq
 	m.carryDirty |= 1 << SeqSlot
 	m.pc[d-1] = contPC
-	// The persisted restart pointer still names the callee frame; the
-	// caller's next persisted commit swings it back.
-	m.pendingRestart = true
+	// The caller's persisted live bit still names the callee frame; the
+	// caller's next persisted commit clears it.
+	m.staleLive = true
 }
 
 // returnVolatile delivers a CallRO callee's return: everything is
@@ -517,11 +517,6 @@ func (c *Ctx) returnVolatile(vals []uint64) {
 func (c *Ctx) persistReturn(vals []uint64) {
 	m := c.m
 	d := m.depth
-	if m.mem.HasUnfencedFlush() {
-		// The caller's control word below commits this routine's
-		// completion; the routine's unfenced flushes must land first.
-		m.mem.Fence()
-	}
 	fr1 := frameAddr(m.base, d-1)
 	var rs [MaxRet]int
 	contPC, pmask, n := unpackPendingTo(m.mem.Read(fr1+framePendingOff), &rs)
@@ -539,18 +534,21 @@ func (c *Ctx) persistReturn(vals []uint64) {
 	sa := slotAddr(fr1, SeqSlot, pmask>>SeqSlot&1)
 	m.mem.Write(sa, seq)
 	addrs = append(addrs, sa)
-	// Commit the caller's control word; the restart swing below makes
-	// it take effect exactly once even across repetitions.
-	m.mem.Write(fr1+frameCtlOff, packCtl(contPC, pmask))
-	addrs = append(addrs, fr1+frameCtlOff)
+	// The copies land in the pending side, which nothing selects yet;
+	// their fence also completes the routine's own unfenced flushes
+	// before the control word that commits its completion is written.
 	m.mem.FlushAddrs(addrs...)
 	m.flushBuf = addrs[:0]
 	m.mem.Fence()
 
-	m.mem.Write(restartAddr(m.base), uint64(d-1))
-	m.mem.Flush(restartAddr(m.base))
-	m.mem.Fence()
-	m.pendingRestart = false
+	// Commit the caller's control word, then clear the live bit: one
+	// line, written in that order, so the bit clearing implies the
+	// control word. A crash in between finds the callee still live and
+	// repeats this capsule, rewriting the same values.
+	m.mem.Write(fr1+frameCtlOff, packCtl(contPC, pmask))
+	m.mem.Write(fr1+framePendingOff, 0)
+	m.mem.FlushFence(fr1 + frameCtlOff)
+	m.staleLive = false
 
 	m.depth = d - 1
 	if m.volOK[d-1] {

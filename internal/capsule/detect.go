@@ -3,8 +3,8 @@ package capsule
 // Detectability ("Practical Detectability" in PAPERS.md): after a crash,
 // a process must be able to tell for each announced operation whether it
 // durably completed. The capsule machinery already holds the answer —
-// the restart pointer and the committed frame copies are exactly the
-// durable progress record — this file merely exposes it as a verdict.
+// the frames' live bits and committed copies are exactly the durable
+// progress record — this file merely exposes it as a verdict.
 
 // Verdict is a process's post-crash detectability report, read from its
 // persisted capsule state at quiescence.
@@ -13,10 +13,10 @@ type Verdict struct {
 	// driver frame's designated progress slot: operations with IDs below
 	// it detectably completed; IDs at or above it detectably did not.
 	Completed uint64
-	// InFlight reports that the restart pointer names an unfinished
-	// span — a nested frame is active or the depth-0 routine has not
-	// reached PCDone — so the operation at ID Completed was interrupted
-	// and will be resumed (not re-invoked) on restart.
+	// InFlight reports that the restart point is an unfinished span —
+	// a nested frame is live or the depth-0 routine has not reached
+	// PCDone — so the operation at ID Completed was interrupted and
+	// will be resumed (not re-invoked) on restart.
 	InFlight bool
 	// Depth and PC are the raw restart coordinates, for diagnostics.
 	Depth, PC int

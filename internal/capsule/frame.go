@@ -9,7 +9,10 @@
 // a control word (routine id, pc, validity mask), a pending-control word
 // used by the Call/Return commit protocol, and two persistent copies of
 // every stack-allocated variable ("slot"), exactly as described in the
-// paper. Frames come in two flavours:
+// paper. The pending word's top bit marks the frame's callee live:
+// recovery finds the active frame by following live bits from depth 0,
+// so the word that records the continuation is also the commit of the
+// Call. Frames come in two flavours:
 //
 //   - Full frames use the two-copies-plus-validity-mask protocol with
 //     two fences per boundary (Section 2.3).
@@ -71,9 +74,9 @@ const (
 	compactCtlOff = 7
 )
 
-// ProcWords is the per-process footprint of the capsule area: one
-// restart line plus MaxDepth frames.
-const ProcWords = pmem.WordsPerLine + MaxDepth*FrameWords
+// ProcWords is the per-process footprint of the capsule area: MaxDepth
+// frames.
+const ProcWords = MaxDepth * FrameWords
 
 // Control-word packing (full frames): mask:24 | pc:12 | rid:12.
 func packCtl(pc int, mask uint32) uint64 {
@@ -84,7 +87,14 @@ func unpackCtl(w uint64) (pc int, mask uint32) {
 	return int(w >> 24 & 0xFFF), uint32(w & 0xFFFFFF)
 }
 
-// Pending-word packing: mask:24 | pc:12 | nret:3 | retslots:4*5.
+// pendingLive is the callee-live bit of a full frame's pending word: set
+// by the Call commit, cleared by the Return commit (or, after an elided
+// return, by the caller's next persisted commit). A compact frame never
+// calls, so its pending word is never consulted.
+const pendingLive = 1 << 63
+
+// Pending-word packing: mask:24 | pc:12 | nret:3 | retslots:4*5, below
+// the live bit.
 func packPending(pc int, mask uint32, retSlots []int) uint64 {
 	w := uint64(mask) | uint64(pc&0xFFF)<<24 | uint64(len(retSlots))<<36
 	for k, s := range retSlots {
@@ -137,18 +147,16 @@ func compactLine(frame pmem.Addr, epoch uint64) pmem.Addr {
 }
 
 // AllocProcAreas reserves the capsule areas for P processes and returns
-// the base address of each (line-aligned). The restart word of process i
-// lives at base[i]; frame d at base[i]+WordsPerLine+d*FrameWords.
+// the base address of each (line-aligned). Frame d of process i lives at
+// base[i]+d*FrameWords.
 func AllocProcAreas(mem *pmem.Memory, P int) []pmem.Addr {
 	bases := make([]pmem.Addr, P)
 	for i := range bases {
-		bases[i] = mem.AllocLines(1 + MaxDepth*frameLines)
+		bases[i] = mem.AllocLines(MaxDepth * frameLines)
 	}
 	return bases
 }
 
-func restartAddr(base pmem.Addr) pmem.Addr { return base }
-
 func frameAddr(base pmem.Addr, depth int) pmem.Addr {
-	return base + pmem.WordsPerLine + pmem.Addr(depth*FrameWords)
+	return base + pmem.Addr(depth*FrameWords)
 }

@@ -60,9 +60,10 @@ func (r *Registry) Routine(id RoutineID) *Routine {
 }
 
 // Machine executes encapsulated routines for one process, implementing
-// the restart-pointer discipline of the paper: all resumption state
-// lives in persistent memory; the machine's own fields are volatile
-// caches that are reconstructed from the frames after a crash.
+// the restart discipline of the paper: all resumption state lives in
+// persistent memory (the frames' control words and callee-live bits);
+// the machine's own fields are volatile caches that are reconstructed
+// from the frames after a crash.
 type Machine struct {
 	p    *proc.Proc
 	mem  *pmem.Port
@@ -111,12 +112,12 @@ type Machine struct {
 	// nothing to persist, so a crash replaying from the last persisted
 	// boundary re-runs only reads — externally invisible.
 	effectsAt uint64
-	// pendingRestart records that one or more Return commits were
-	// elided: the persisted restart pointer still names a deeper frame.
-	// The next persisted commit at the current depth swings it back
-	// (after its own commit fence), and Call restores it before
-	// initializing a callee frame the stale pointer would alias.
-	pendingRestart bool
+	// staleLive records that the Return into the current frame was
+	// elided: the frame's persisted live bit still names the callee. The
+	// next persisted commit at the current depth clears it in the
+	// control-word line it flushes anyway, and Call clears it before
+	// initializing a callee frame the stale bit would make live.
+	staleLive bool
 	// roCall marks frames created by CallRO: fully volatile callees
 	// (no persistent frame, no pending word). Their return delivery and
 	// continuation bookkeeping live in the machine, and any attempt to
@@ -156,6 +157,7 @@ func Install(port *pmem.Port, base pmem.Addr, reg *Registry, rid RoutineID, args
 	r := reg.Routine(rid)
 	fr := frameAddr(base, 0)
 	port.Write(fr+frameHdrOff, uint64(rid))
+	port.Write(fr+framePendingOff, 0)
 	if r.Compact {
 		if len(args) >= MaxCompactSlots {
 			panic("capsule: too many args for compact frame")
@@ -180,9 +182,6 @@ func Install(port *pmem.Port, base pmem.Addr, reg *Registry, rid RoutineID, args
 	}
 	port.Flush(fr)
 	port.Fence()
-	port.Write(restartAddr(base), 0)
-	port.Flush(restartAddr(base))
-	port.Fence()
 }
 
 // InstallIdle initializes a process's capsule area with routine rid in
@@ -191,6 +190,7 @@ func InstallIdle(port *pmem.Port, base pmem.Addr, reg *Registry, rid RoutineID) 
 	r := reg.Routine(rid)
 	fr := frameAddr(base, 0)
 	port.Write(fr+frameHdrOff, uint64(rid))
+	port.Write(fr+framePendingOff, 0)
 	if r.Compact {
 		ln := compactLine(fr, 0)
 		port.Write(ln+SeqSlot, 0)
@@ -202,9 +202,6 @@ func InstallIdle(port *pmem.Port, base pmem.Addr, reg *Registry, rid RoutineID) 
 		port.FlushAddrs(slotAddr(fr, SeqSlot, 0), fr+frameCtlOff)
 	}
 	port.Flush(fr)
-	port.Fence()
-	port.Write(restartAddr(base), 0)
-	port.Flush(restartAddr(base))
 	port.Fence()
 }
 
@@ -254,13 +251,26 @@ func (m *Machine) reload() {
 		m.volOK[i] = false
 		m.roCall[i] = false
 	}
-	m.pendingRestart = false
+	m.staleLive = false
 	m.effectsAt = m.mem.PersistEffects()
-	m.depth = int(m.mem.Read(restartAddr(m.base)))
-	if m.depth < 0 || m.depth >= MaxDepth {
-		panic(fmt.Sprintf("capsule: corrupt restart depth %d", m.depth))
-	}
+	m.depth = m.activeDepth()
 	m.loadFrame(m.depth)
+}
+
+// activeDepth finds the frame to resume by following callee-live bits
+// from depth 0: at most MaxDepth frames, so recovery delay stays
+// constant. A compact frame ends the walk with its pending word unread:
+// it cannot call, and the word may hold a stale bit from a full routine
+// that used the frame before.
+func (m *Machine) activeDepth() int {
+	for d := 0; d < MaxDepth; d++ {
+		fr := frameAddr(m.base, d)
+		if m.reg.Routine(RoutineID(m.mem.Read(fr+frameHdrOff))).Compact ||
+			m.mem.Read(fr+framePendingOff)&pendingLive == 0 {
+			return d
+		}
+	}
+	panic("capsule: corrupt frames: live bit set at the deepest frame")
 }
 
 // loadFrame populates the volatile cache for depth d from its frame,
@@ -354,8 +364,11 @@ func (m *Machine) Invoke(rid RoutineID, entry int, args ...uint64) []uint64 {
 	if m.rid[0] != rid {
 		// Routine change: persist the header before any control word
 		// that relies on it for layout parsing, then take the full
-		// reset path.
+		// reset path. A live bit left by an elided return goes first
+		// (same line, so it persists first): the new routine may be
+		// compact, whose boundaries never clear it.
 		fr := frameAddr(m.base, 0)
+		m.clearStaleLive(fr)
 		m.mem.Write(fr+frameHdrOff, uint64(rid))
 		m.mem.Flush(fr)
 		m.mem.Fence()

@@ -32,10 +32,9 @@ const (
 	roOpIdx  = 2 // op: probe result
 )
 
-// newROEnv builds the environment. op is the routine the driver Calls
-// once per iteration with the iteration index as argument, returning
-// one value into roDrvRet.
-func newROEnv(mode pmem.Mode, seed int64, n uint64, mkOp func(e *roEnv) RoutineID) *roEnv {
+// newROBase builds the environment without a driver: memory, the
+// lookup table, the results array and an empty registry.
+func newROBase(mode pmem.Mode, seed int64) *roEnv {
 	mem := pmem.New(pmem.Config{Words: 1 << 14, Mode: mode, Checked: true, Seed: seed})
 	e := &roEnv{rt: proc.NewRuntime(mem, 1)}
 	e.tab = mem.AllocLines(1)
@@ -48,6 +47,14 @@ func newROEnv(mode pmem.Mode, seed int64, n uint64, mkOp func(e *roEnv) RoutineI
 	}
 	setup.FlushRange(e.tab, 8)
 	setup.Fence()
+	return e
+}
+
+// newROEnv builds the environment. op is the routine the driver Calls
+// once per iteration with the iteration index as argument, returning
+// one value into roDrvRet.
+func newROEnv(mode pmem.Mode, seed int64, n uint64, mkOp func(e *roEnv) RoutineID) *roEnv {
+	e := newROBase(mode, seed)
 	op := mkOp(e)
 	e.drv = e.reg.Register("ro-driver", false,
 		func(c *Ctx) { // pc0: dispatch
@@ -197,10 +204,10 @@ func TestElidedBoundaryCrashSweep(t *testing.T) {
 
 // TestElidedReturnCrashSweep sweeps crashes over the pure-lookup op:
 // DoneRO elides the whole Return commit, so the driver's accounting
-// boundary both persists the delivered value and swings the restart
-// pointer back. Exactness across every crash point pins the deferred
-// swing protocol (including the Call-after-pending-restart path taken
-// by the next iteration's dispatch).
+// boundary both persists the delivered value and clears the driver's
+// live bit. Exactness across every crash point pins the deferred clear
+// (the Call-straight-after-an-elided-return path has its own sweep,
+// TestCallAfterElidedReturnCrashSweep).
 func TestElidedReturnCrashSweep(t *testing.T) {
 	const n = 4
 	for _, mode := range []pmem.Mode{pmem.Private, pmem.Shared} {

@@ -157,13 +157,21 @@ const DefaultCapacity = 1 << 16
 // crashCapacity bounds the global crash-marker log.
 const crashCapacity = 1 << 14
 
+// minOpSteps is a floor on the instrumented steps of one recorded
+// operation driven through a capsule driver: the cheapest measured, a
+// read-only-tier map Get with its Call and driver boundary, takes about
+// 34, so 24 leaves slack for cheaper protocols to come.
+const minOpSteps = 24
+
 // StressCapacity sizes a recorder's per-process log for a quota-driven
 // stress round: the scripts loop until the crash quota is met, so the
-// recorded op count scales with the quota, not the script length.
+// recorded op count scales with the quota and the crash gap, not the
+// script length. Between two crashes a process runs at most maxGap
+// steps, hence at most maxGap/minOpSteps operations of two events each.
 // Undershooting is loud (the audit fails on overflow rather than check
 // a truncated history), so the bound is generous.
-func StressCapacity(ops, crashes int) int {
-	c := 4*ops + 128*crashes + 1<<14
+func StressCapacity(ops, crashes int, maxGap int64) int {
+	c := 4*ops + crashes*int(2*maxGap/minOpSteps) + 1<<14
 	if c < DefaultCapacity {
 		c = DefaultCapacity
 	}
@@ -173,12 +181,12 @@ func StressCapacity(ops, crashes int) int {
 // Recorder records operation events for a fixed set of processes.
 // Methods are nil-safe: a nil Recorder records nothing.
 type Recorder struct {
-	ticket  atomic.Uint64
-	epoch   atomic.Uint64
-	logs    [][]Event
-	invAt   []pmem.Stats // per-process stats snapshot at the last Invoke
-	dropped []uint64
-	crashes []Event
+	ticket         atomic.Uint64
+	epoch          atomic.Uint64
+	logs           [][]Event
+	invAt          []pmem.Stats // per-process stats snapshot at the last Invoke
+	dropped        []uint64
+	crashes        []Event
 	crashesDropped uint64
 }
 

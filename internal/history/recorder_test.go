@@ -118,10 +118,15 @@ func TestRecorderOverflow(t *testing.T) {
 }
 
 func TestStressCapacityFloor(t *testing.T) {
-	if c := StressCapacity(0, 0); c != DefaultCapacity {
+	if c := StressCapacity(0, 0, 0); c != DefaultCapacity {
 		t.Fatalf("zero-config capacity %d, want the default %d", c, DefaultCapacity)
 	}
-	if c := StressCapacity(1000, 5000); c <= DefaultCapacity {
+	if c := StressCapacity(1000, 5000, 2500); c <= DefaultCapacity {
 		t.Fatalf("big quota capacity %d should exceed the default", c)
+	}
+	// The per-crash allowance follows the gap: a longer gap fits more
+	// operations between two crashes.
+	if short, long := StressCapacity(0, 2000, 2800), StressCapacity(0, 2000, 5600); long <= short {
+		t.Fatalf("capacity %d at gap 5600, %d at gap 2800: allowance does not grow with the gap", long, short)
 	}
 }

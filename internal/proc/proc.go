@@ -132,7 +132,7 @@ func (p *Proc) hook() {
 	if p.rt.sysCrash.Load() {
 		panic(crashSignal{p.id})
 	}
-	if p.crashNow.CompareAndSwap(true, false) {
+	if p.crashNow.Load() && p.crashNow.CompareAndSwap(true, false) {
 		panic(crashSignal{p.id})
 	}
 	if p.armed.Load() >= 0 && p.armed.Add(-1) == 0 {

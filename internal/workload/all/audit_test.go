@@ -76,6 +76,30 @@ func TestAuditedRoundsPass(t *testing.T) {
 	}
 }
 
+// TestLongExposureRoundFitsRecorder runs the long-exposure round CI
+// runs (one process, 2000 crashes): the script loops until the quota is
+// met, so the recorded history grows with the quota and with how many
+// operations fit a crash gap. The recorder must be sized for that — an
+// overflow fails the audit — and the Call/Return protocol must stay
+// exact over some 130 000 operations per model.
+func TestLongExposureRoundFitsRecorder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2000-crash rounds")
+	}
+	s, ok := workload.LookupStresser("pstack")
+	if !ok {
+		t.Fatal("pstack stresser not registered")
+	}
+	for _, shared := range []bool{false, true} {
+		if _, err := s.Run(workload.StressConfig{
+			Procs: 1, Crashes: 2000, Seed: 3, Shared: shared,
+			Audit: true, ArtifactDir: t.TempDir(),
+		}); err != nil {
+			t.Fatalf("shared=%v: %v", shared, err)
+		}
+	}
+}
+
 // benchRound runs one pstack crash-stress round, the heaviest audited
 // family; `go test -bench CrashStress ./internal/workload/all` measures
 // the recorder's end-to-end overhead (audit off vs on).

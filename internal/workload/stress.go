@@ -167,7 +167,7 @@ func RunRound(spec StressSpec, cfg StressConfig) (StressReport, error) {
 		if spec.Events != nil {
 			events = spec.Events(r)
 		}
-		r.Rec = history.NewRecorder(r.Procs, history.StressCapacity(events, r.Crashes))
+		r.Rec = history.NewRecorder(r.Procs, history.StressCapacity(events, r.Crashes, r.MaxGap))
 	}
 
 	h := spec.Build(r)
