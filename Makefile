@@ -9,10 +9,11 @@ test:
 	go build ./... && go test ./...
 
 # lint runs the persistence-discipline analyzers (internal/lint) through
-# the go vet driver.
+# the go vet driver, then fails on any file gofmt would rewrite.
 lint:
 	go build -o /tmp/persistlint ./cmd/persistlint
 	go vet -vettool=/tmp/persistlint ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	go test -race -short ./...

@@ -397,10 +397,12 @@ func RegisterBatchCombiner(reg *Registry, name string, pool *IngressPool, shard 
 // variant for appliers whose durability is deferred past the batch
 // span (apply returns true when the batch joined an open deferral
 // window). Completion tokens for deferred batches are held and only
-// published after closeWin runs — closeWin must make every held
-// batch durable (e.g. MapBatchApplier's Close, one de-duplicated
-// flush pass + fence over the window's swung Ptr words). The combiner
-// closes the window when the ring stays idle or at shutdown.
+// published after a close — closeWin must make every held batch
+// durable (e.g. MapBatchApplier's Close, one de-duplicated flush pass
+// + fence over the window's swung Ptr words). The combiner calls it in
+// the span that applied a batch unless a full next batch is already
+// waiting in the ring, so an operation waits for the window only while
+// there is load to share the close with.
 func RegisterGroupBatchCombiner(reg *Registry, name string, pool *IngressPool, shard int,
 	apply func(c *Ctx, batch []IngressRecord) (deferred bool), closeWin func(c *Ctx)) RoutineID {
 	return ingress.RegisterGroupCombiner(reg, name, pool, shard, apply, closeWin)

@@ -57,7 +57,7 @@ func (b *hb) crash() *hb {
 	return b
 }
 
-func (b *hb) residue(vals ...uint64) *hb { b.h.Final.Residue = vals; return b }
+func (b *hb) residue(vals ...uint64) *hb    { b.h.Final.Residue = vals; return b }
 func (b *hb) final(m map[uint64]uint64) *hb { b.h.Final.Map = m; return b }
 
 func codes(vs []Violation) string {

@@ -6,6 +6,7 @@ import (
 
 	"delayfree/internal/capsule"
 	"delayfree/internal/ingress"
+	"delayfree/internal/pmap"
 	"delayfree/internal/pmem"
 	"delayfree/internal/pqueue"
 	"delayfree/internal/proc"
@@ -119,5 +120,72 @@ func TestCombinerDrainApplyZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("combiner drain+apply allocates %v objects/batch, want 0", avg)
+	}
+}
+
+// TestGroupSpanCloseZeroAlloc pins the low-load span of the group tier:
+// a few records drained after the linger, applied through the map's
+// group-commit applier, the window closed inside the same span (nothing
+// else is waiting) and the tokens stored — zero Go allocations once the
+// applier's location cache and the batcher's window lists are warm. At
+// low load this whole path runs per span, tens of thousands of times a
+// second. P is above 8 on purpose (see wcas.TestCloseWindowZeroAlloc).
+func TestGroupSpanCloseZeroAlloc(t *testing.T) {
+	const (
+		P        = 16
+		buckets  = 64
+		batchMax = 8
+		perSpan  = 3
+		combiner = P - 1
+	)
+	mem := pmem.New(pmem.Config{Words: pmap.BatchWords(buckets, 1, P, 1, 0, 0) + P*capsule.ProcWords + 1<<13, Mode: pmem.Shared})
+	rt := proc.NewRuntime(mem, P)
+	m := pmap.New(pmap.Config{Mem: mem, P: P, Buckets: buckets, Shards: 1, Opt: true, Durable: true, BatchCombiners: 1})
+	m.Init(mem.NewPort(), nil)
+	m.Bind(rt)
+	ba := pmap.NewBatchApplier(m)
+
+	pool := ingress.NewPool(1, 32, batchMax, 1)
+	pool.MarkDone(0) // each Invoke runs one span, then finishes on the empty ring
+	reg := capsule.NewRegistry()
+	bases := capsule.AllocProcAreas(mem, P)
+	closes := 0
+	comb := ingress.RegisterGroupCombiner(reg, "alloc-comb-m", pool, 0, mapApply(ba, batchMax),
+		func(c *capsule.Ctx) { closes++; ba.Close(c.P().ID()) })
+	capsule.Install(rt.Proc(combiner).Mem(), bases[combiner], reg, comb)
+
+	ring := pool.Shard(0).Ring
+	done := new(atomic.Uint64)
+	var token uint64
+	var avg float64
+	spans := 0
+	rt.Go(combiner, func(p *proc.Proc) {
+		mach := capsule.NewMachine(p, reg, bases[combiner])
+		runOnce := func() {
+			for i := 0; i < perSpan; i++ {
+				token++
+				rec := ingress.Record{Op: ingress.OpPut, A: 1 + token%8, B: token, Token: token, Done: done}
+				if token%4 == 0 {
+					rec.Op, rec.B = ingress.OpDelete, 0
+				}
+				ring.Publish(rec, nil)
+			}
+			mach.Invoke(comb, 0)
+			spans++
+		}
+		for i := 0; i < 8; i++ { // claim every key's bucket, grow the window lists
+			runOnce()
+		}
+		avg = testing.AllocsPerRun(40, runOnce)
+	})
+	rt.Wait()
+	if done.Load() != token {
+		t.Fatalf("last acknowledged token %d, want %d", done.Load(), token)
+	}
+	if closes != spans {
+		t.Fatalf("%d closes over %d low-load spans, want one each", closes, spans)
+	}
+	if avg != 0 {
+		t.Fatalf("drain+apply+close+ack span allocates %v objects/span, want 0", avg)
 	}
 }

@@ -1,6 +1,7 @@
 package ingress_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"delayfree/internal/capsule"
@@ -48,8 +49,13 @@ type sweepRig struct {
 	// window: between the install fence and the close fence several
 	// swings are unfenced at once, and a crash keeps an independent
 	// prefix of each affected line's writes — so the applied count is
-	// NOT monotone in the crash step. The sweep then checks subset
-	// validity per step and completeness after the close fence; the
+	// NOT monotone in the crash step. The sweep then checks, per step,
+	// that the survivors are a valid subset and that every operation
+	// whose completion token is visible is among them: the combiner
+	// closes the window inside the span that applied the batch (nothing
+	// else is waiting), so the crash points run from Drain through apply,
+	// the close fence and the token stores, and a token stored ahead of
+	// the fence would show at some step as acknowledged-but-absent. The
 	// step-exact cumulative-durability floor is pinned by the wcas
 	// milestone sweep (wcas.TestBatchCommitCrashSweep).
 	subset bool
@@ -60,9 +66,9 @@ func (r *sweepRig) crashed() bool { return r.rt.Proc(0).Restarts() > 0 }
 // combinerRig wires the shared skeleton over the one combiner loop: a
 // pool with one shard, the batch pre-published from the host (host
 // atomics, zero instrumented steps), one combiner proc. apply is the
-// family's batch applier; a group-commit applier's completions are held
-// until its window closes through closeWin (here at the idle boundary
-// after the single batch).
+// family's batch applier; a group-commit applier's completions wait for
+// its window to close through closeWin (here inside the one span: the
+// ring is empty after the single batch, so the combiner closes at once).
 func combinerRig(mem *pmem.Memory, rt *proc.Runtime, apply ingress.GroupApply, closeWin func(c *capsule.Ctx), recs []ingress.Record) func() {
 	pool := ingress.NewPool(1, 16, sweepBatch, 1)
 	for _, rec := range recs {
@@ -176,11 +182,27 @@ func stackRig(mode pmem.Mode) *sweepRig {
 	}}
 }
 
+// mapApply adapts the map's group-commit applier to the combiner, the
+// way the harness and the benchmark do; the table is sized never to
+// fill.
+func mapApply(ba *pmap.BatchApplier, batchMax int) ingress.GroupApply {
+	ops := make([]pmap.BatchOp, batchMax)
+	return func(c *capsule.Ctx, batch []ingress.Record) bool {
+		for i := range batch {
+			ops[i] = pmap.BatchOp{Del: batch[i].Op == ingress.OpDelete, K: batch[i].A, V: batch[i].B}
+		}
+		if !ba.Apply(c, ops[:len(batch)]) {
+			panic("map batch rejected")
+		}
+		return ba.Deferred(c.P().ID())
+	}
+}
+
 func mapRig(mode pmem.Mode) *sweepRig {
 	const buckets = 16
-	// Window larger than the batch: the close fence lands in the idle
-	// span after apply, so the sweep crosses the fully deferred region
-	// (installs fenced, swings unfenced) before the close.
+	// Window larger than the batch: apply never auto-closes, so the sweep
+	// crosses the fully deferred region (installs fenced, swings
+	// unfenced) before the combiner's own close later in the same span.
 	const window = 8
 	words := pmap.BatchWords(buckets, 1, 1, 1, 0, window) + capsule.ProcWords + 1<<13
 	mem := pmem.New(pmem.Config{Words: words, Mode: mode, Checked: true, Seed: 7})
@@ -193,20 +215,12 @@ func mapRig(mode pmem.Mode) *sweepRig {
 	m.Bind(rt)
 	ba := pmap.NewBatchApplier(m)
 	recs := make([]ingress.Record, sweepBatch)
+	done := make([]atomic.Uint64, sweepBatch)
 	for i := range recs {
-		recs[i] = ingress.Record{Op: ingress.OpPut, A: sweepKey(i), B: sweepVal(i)}
+		recs[i] = ingress.Record{Op: ingress.OpPut, A: sweepKey(i), B: sweepVal(i), Token: uint64(i + 1), Done: &done[i]}
 	}
-	ops := make([]pmap.BatchOp, sweepBatch)
 	rig := &sweepRig{rt: rt, subset: true}
-	rig.run = combinerRig(mem, rt, func(c *capsule.Ctx, batch []ingress.Record) bool {
-		for i := range batch {
-			ops[i] = pmap.BatchOp{Del: batch[i].Op == ingress.OpDelete, K: batch[i].A, V: batch[i].B}
-		}
-		if !ba.Apply(c, ops[:len(batch)]) {
-			panic("sweep: map batch rejected")
-		}
-		return ba.Deferred(c.P().ID())
-	}, func(c *capsule.Ctx) { ba.Close(c.P().ID()) }, recs)
+	rig.run = combinerRig(mem, rt, mapApply(ba, sweepBatch), func(c *capsule.Ctx) { ba.Close(c.P().ID()) }, recs)
 	rig.applied = func(t *testing.T) int {
 		t.Helper()
 		if rig.crashed() {
@@ -226,6 +240,15 @@ func mapRig(mode pmem.Mode) *sweepRig {
 			if !found {
 				t.Fatalf("alien key %#x = %#x in recovered map", k, v)
 			}
+		}
+		for i := range done {
+			if _, ok := dump[sweepKey(i)]; done[i].Load() != 0 && !ok {
+				t.Fatalf("key %#x acknowledged (token %d visible) but absent from the recovered map: acked before durable",
+					sweepKey(i), done[i].Load())
+			}
+		}
+		if !rig.crashed() && done[sweepBatch-1].Load() != sweepBatch {
+			t.Fatalf("run finished with the batch unacknowledged (last token %d)", done[sweepBatch-1].Load())
 		}
 		return len(dump)
 	}
@@ -279,7 +302,7 @@ func runCrashSweep(t *testing.T, mk func(pmem.Mode) *sweepRig) {
 				t.Fatalf("crash at the final step (past the last fence) left %d of %d ops durable", prev, sweepBatch)
 			}
 			if rig.subset {
-				t.Logf("%s: swept %d crash points, per-step subsets valid, complete after the close fence", name, steps)
+				t.Logf("%s: swept %d crash points, per-step subsets valid, no token ahead of its swing's durability, complete after the close fence", name, steps)
 			} else {
 				t.Logf("%s: swept %d crash points, applied-count monotone 0..%d", name, steps, sweepBatch)
 			}

@@ -74,14 +74,14 @@ type cell struct {
 }
 
 // Ring is the bounded MPSC ring. Producers call Publish concurrently;
-// exactly one goroutine may call Drain/Empty. Reset is stopped-world
+// exactly one goroutine may call Drain/Len. Reset is stopped-world
 // only.
 type Ring struct {
-	cells []cell
-	mask  uint64
-	_     [48]byte // keep the hot tickets off the cells' lines
-	tail  atomic.Uint64
-	_     [56]byte
+	cells   []cell
+	mask    uint64
+	_       [48]byte // keep the hot tickets off the cells' lines
+	tail    atomic.Uint64
+	_       [56]byte
 	headPub atomic.Uint64
 	head    uint64 // consumer-private
 }
@@ -168,11 +168,14 @@ func (r *Ring) Drain(buf []Record) int {
 	return n
 }
 
-// Empty reports whether the ring holds no published records.
-// Consumer-only (it reads the consumer-private head).
-func (r *Ring) Empty() bool {
-	return r.cells[r.head&r.mask].seq.Load() != r.head+1
-}
+// Len returns the ring's depth as the consumer sees it: positions
+// reserved and not yet drained (tail − head). Consumer-only (it reads the
+// consumer-private head). A producer reserves its position before it
+// writes and releases the cell, so Len may count a record Drain cannot
+// take yet. It therefore never under-reports what the next Drain
+// returns, and a Drain that returns 0 after Len() > 0 means "poll
+// again", not "empty".
+func (r *Ring) Len() int { return int(r.tail.Load() - r.head) }
 
 // Reset wipes the ring back to empty. Stopped-world only: the proc
 // runtime's full-system crash hook calls it while every producer and
@@ -266,7 +269,9 @@ type GroupApply func(c *capsule.Ctx, batch []Record) (deferred bool)
 // that never defers: apply must end with the batch's durability point
 // (a PersistEpoch covering the batch's commit words), so the one loop
 // below holds nothing and stores completion tokens inside the span,
-// strictly after apply returns.
+// strictly after apply returns. With no close hook there is no close to
+// amortise, so the combiner never lingers either: it drains what is
+// there on the poll that sees it (a linger would only add latency).
 func RegisterCombiner(reg *capsule.Registry, name string, pool *Pool, shard int,
 	apply func(c *capsule.Ctx, batch []Record)) capsule.RoutineID {
 	return RegisterGroupCombiner(reg, name, pool, shard,
@@ -289,15 +294,17 @@ func ChainApplier(batchMax int, apply func(c *capsule.Ctx, vals []uint64)) Group
 	}
 }
 
-// groupIdleGrace is how many consecutive empty ring polls a combiner
-// holding deferred completions tolerates before it treats the ring as
-// genuinely idle and closes the deferral window. A momentary gap
-// between producer publishes must not trigger a close — every premature
-// close fence is a full Ptr-persist pass, and closing once per batch
-// collapses the window to the batch size, forfeiting the amortization
-// the group tier exists for. Each poll is an instrumented Step, so the
-// grace bounds the extra ack latency (and the crash-gap budget it
-// consumes) by the same count.
+// groupIdleGrace is the span-start linger bound of a group combiner, in
+// ring polls, and the only latency constant of the group tier: a span
+// that finds fewer than BatchMax records waits at most this many polls
+// for the batch to fill before it applies what it has. It buys batch
+// size (one install fence, one boundary and, at low load, one close
+// fence per batch instead of per operation) when producers publish a few
+// polls apart, and costs an operation that arrives alone at the start of
+// a span at most this many polls; one that arrives at a ring already
+// idle this long is applied on the poll that sees it. Each poll is an
+// instrumented Step, so the linger is also visible to crash injection
+// and to the step-gap budgets.
 const groupIdleGrace = 128
 
 // RegisterGroupCombiner registers shard `shard`'s combiner as a compact
@@ -308,23 +315,29 @@ const groupIdleGrace = 128
 // and its ring has drained empty.
 //
 // A completion token is stored only once its operation is durable, so a
-// producer that observes its token knows that much. When apply reports
-// deferred, the batch's tokens are held; they are released after a
-// close — either the applier's own auto-close (a later apply returns
-// false) or the closeWin hook, run when the ring stays idle while
-// completions are pending. closeWin may be nil for an applier that
-// never defers.
+// producer that observes its token knows that much. With a closeWin hook
+// (a group-commit applier) the deferral window is a function of backlog:
+// when apply reports deferred and the ring already holds a full next
+// batch, the window stays open and the batch's tokens are held; with
+// anything less waiting, closeWin runs inside this same span — its fence
+// before any token store — and everything held plus this batch is
+// acknowledged. A lone operation thus pays its own close and waits for
+// nobody; a saturated ring amortises one close over the applier's whole
+// window, whose auto-close (a later apply returns false) releases the
+// held tokens. The same rule shapes the front of the span: see
+// groupIdleGrace. closeWin may be nil for an applier that never defers;
+// such a combiner does not linger.
 //
 // Crash interactions: a crash inside apply replays the capsule, but the
 // drained records are gone from the ring — the batch's operations
 // either became durable at the applier's commit or are lost with the
-// ring, never re-executed. A full-system crash advances the shard epoch
-// (Pool.Reset); the held records are dropped with it — their producers
-// abandon through the windowed two-phase protocol, and the deferred
-// window they were waiting on died with the volatile state. A
-// combiner-process crash replays the span; the held list is host state
-// and survives, so its tokens release at the next close exactly as if
-// the crash had not happened.
+// ring, never re-executed. Whatever restarts a combiner advances the
+// shard epoch (Pool.Reset on a full-system crash, the restart hook for a
+// lone combiner crash); the replayed span drops the held records with
+// it — their producers abandon through the windowed two-phase protocol,
+// and the deferred window they were waiting on died with the volatile
+// state. So a span that starts with tokens held starts with the full
+// batch that kept the window open still in its ring.
 func RegisterGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard int,
 	apply GroupApply, closeWin func(c *capsule.Ctx)) capsule.RoutineID {
 	sh := pool.shards[shard]
@@ -337,33 +350,29 @@ func RegisterGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard
 			}
 		}
 	}
+	linger := 0
+	if closeWin != nil {
+		linger = groupIdleGrace
+	}
 	return reg.Register(name, true, func(c *capsule.Ctx) {
 		if e := sh.Epoch.Load(); e != lastEpoch {
 			held = held[:0]
 			lastEpoch = e
 		}
 		var batch []Record
-		idle := 0
-		for {
-			if n := sh.Ring.Drain(sh.buf); n > 0 {
-				batch = sh.buf[:n]
-				break
-			}
-			if len(held) > 0 {
-				// Deferred completions are pending: wait out the grace
-				// before closing, so a momentary publish gap does not
-				// cost a premature close fence — but do close once the
-				// ring stays dry, rather than leave producers waiting on
-				// a fence that would otherwise only come with more
-				// traffic.
-				if idle++; idle >= groupIdleGrace {
-					closeWin(c)
-					ack(held)
-					held = held[:0]
-					c.Boundary(0)
-					return
+		for polls := 0; ; polls++ {
+			// Take a full batch as soon as one is waiting, anything at
+			// all once the span is `linger` polls old. Len counts a cell
+			// from its reservation; until the producer releases it Drain
+			// comes back short, or empty — then poll again rather than
+			// apply nothing.
+			if polls >= linger || sh.Ring.Len() >= pool.BatchMax {
+				if n := sh.Ring.Drain(sh.buf); n > 0 {
+					batch = sh.buf[:n]
+					break
 				}
-			} else if pool.AllDone() && sh.Ring.Empty() {
+			}
+			if pool.AllDone() && sh.Ring.Len() == 0 {
 				c.Finish()
 				return
 			}
@@ -374,11 +383,15 @@ func RegisterGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard
 		}
 		deferred := apply(c, batch)
 		c.Mem().NoteBatch(uint64(len(batch)))
-		if deferred {
+		if deferred && sh.Ring.Len() >= pool.BatchMax {
 			held = append(held, batch...)
 		} else {
-			// Everything applied so far is durable (the applier closed
-			// its window inside apply, or deferred nothing).
+			if deferred {
+				closeWin(c)
+			}
+			// Everything applied so far is durable: the applier deferred
+			// nothing, closed its window inside apply, or closeWin just
+			// fenced it.
 			ack(held)
 			held = held[:0]
 			ack(batch)

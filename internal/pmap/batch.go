@@ -23,8 +23,8 @@ import (
 // the swing log) — which is exactly the freedom durable
 // linearizability grants for unacknowledged operations, and why the
 // combiner must not acknowledge producers until the window has closed
-// (ingress.RegisterGroupCombiner holds the Done tokens back until the
-// close hook runs).
+// (ingress.RegisterGroupCombiner stores no Done token of the window
+// before the window's auto-close or its own call of the close hook).
 //
 // Capacity is pre-probed: Apply claims every put's bucket before the
 // first value write, so a full table rejects the whole batch with no
@@ -115,8 +115,10 @@ func (a *BatchApplier) state(pid int) *applierState {
 // false — with no value written and no swing performed — when a put
 // finds the table full; otherwise the whole batch is applied and the
 // report is true. The operations' durability is deferred: call Deferred
-// to learn whether a close is still owed, Close before acknowledging
-// producers at an idle or final boundary.
+// to learn whether a close is still owed, and Close before acknowledging
+// any producer of the window. The group combiner does both inside the
+// span that applied the batch, and closes unless a full next batch is
+// already waiting.
 func (a *BatchApplier) Apply(c *capsule.Ctx, ops []BatchOp) bool {
 	if len(ops) == 0 {
 		return true
@@ -205,6 +207,8 @@ func (a *BatchApplier) Deferred(pid int) bool {
 
 // Close closes pid's deferred window: one de-duplicated flush pass over
 // the swung Ptr words and one fence per segment batcher that holds any.
+// It may run after any batch (once per span at low load), on the
+// combiner's own process.
 // A stale state (the map recovered since) is NOT rebuilt — the old
 // window died with the crash; rebuilding happens lazily on the next
 // Apply.

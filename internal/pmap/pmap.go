@@ -276,15 +276,15 @@ func (m *Map) Init(port *pmem.Port, initial map[uint64]uint64) {
 		a := assign[si]
 		sg.arr = wcas.NewWithExtent(m.cfg.Mem, port, int(2*m.bps), m.cfg.P,
 			m.cfg.BatchCombiners*m.batchLines, func(j int) uint64 {
-			e, ok := a[uint32(j/2)]
-			if !ok {
-				return 0
-			}
-			if j%2 == 0 {
-				return e.k
-			}
-			return e.v + 1
-		})
+				e, ok := a[uint32(j/2)]
+				if !ok {
+					return 0
+				}
+				if j%2 == 0 {
+					return e.k
+				}
+				return e.v + 1
+			})
 		sg.arr.SetDurable(m.cfg.Durable)
 		m.segs[si] = sg
 	}

@@ -142,9 +142,13 @@ func (p *Proc) hook() {
 
 // Step charges one instrumented step without touching memory; programs
 // can call it in volatile-only loops so crash injection can reach them.
+// It goes through the port's Hook like every memory step, so a test that
+// scripts an interleaving on the hook sees idle polls too.
 func (p *Proc) Step() {
 	p.mem.Stats.Steps++
-	p.hook()
+	if h := p.mem.Hook; h != nil {
+		h()
+	}
 }
 
 // Runtime manages P simulated processes over one Memory.

@@ -71,6 +71,11 @@ type Batcher struct {
 	winRet  []uint32    // replaced slots quarantined until the close fence
 	winOps  int
 
+	// announced is CloseWindow's scratch: the slots its announcement scan
+	// found named by a resolved announcement. Batcher-owned because a
+	// close can run once per combiner span.
+	announced map[uint32]bool
+
 	// MiniFences counts early window closes forced by the recycle
 	// guard (allocation would otherwise reuse an in-window slot).
 	MiniFences uint64
@@ -98,7 +103,8 @@ func (a *Array) NewBatcher(h *Handle, lines, window int) *Batcher {
 		firstLine: a.extClaim, nLines: lines,
 		liveCnt: make([]uint32, lines),
 		cursor:  -1, fill: pmem.WordsPerLine,
-		window: window,
+		window:    window,
+		announced: make(map[uint32]bool, a.P),
 	}
 	a.extClaim += lines
 	lo := uint32(a.extBase + b.firstLine*pmem.WordsPerLine)
@@ -116,8 +122,8 @@ func (a *Array) NewBatcher(h *Handle, lines, window int) *Batcher {
 func (b *Batcher) Open() bool { return b.open }
 
 // Deferred reports whether any swing of the current window still awaits
-// the close fence (callers use it to decide whether an idle combiner
-// must CloseWindow before acking producers).
+// the close fence (a combiner must then CloseWindow before it
+// acknowledges any producer of the window).
 func (b *Batcher) Deferred() bool {
 	return b.winOps > 0 || len(b.winPtrs) > 0 || len(b.winRet) > 0
 }
@@ -224,6 +230,11 @@ func (b *Batcher) Abort() {
 // resolved announcement naming one (the classic recycle quarantine,
 // replicated here); they stay on the list for the next close.
 //
+// A close may come at any point between two batches, not only at a full
+// window: the ingress group combiner closes inside the span that applied
+// a batch whenever no full next batch is waiting, so at low load every
+// batch pays its own close. The path is allocation-free for that reason.
+//
 //persist:fence
 func (b *Batcher) CloseWindow() {
 	if len(b.winPtrs) == 0 && len(b.winRet) == 0 {
@@ -236,7 +247,7 @@ func (b *Batcher) CloseWindow() {
 	// Announcement scan, as in classic recycle: help unresolved
 	// announcements, then quarantine retirees a resolved announcement
 	// names (the reader may still operate through that slot).
-	announced := make(map[uint32]bool, a.P)
+	clear(b.announced)
 	for j := 0; j < a.P; j++ {
 		aj := a.annAddr(j)
 		w := p.Read(aj)
@@ -252,18 +263,18 @@ func (b *Batcher) CloseWindow() {
 			w = p.Read(aj)
 		}
 		if idx := annIndex(w); !annHelp(w) && idx < uint32(a.slots) {
-			announced[idx] = true
+			b.announced[idx] = true
 		}
 	}
-	var keep []uint32
+	keep := b.winRet[:0] // filtered in place: keep never outruns the read index
 	for _, s := range b.winRet {
-		if announced[s] {
+		if b.announced[s] {
 			keep = append(keep, s)
 			continue
 		}
 		b.unalloc(s)
 	}
-	b.winRet = append(b.winRet[:0], keep...)
+	b.winRet = keep
 	b.winPtrs = b.winPtrs[:0]
 	b.winOps = 0
 }

@@ -344,3 +344,55 @@ func TestBatchCommitCrashSweep(t *testing.T) {
 		})
 	}
 }
+
+// TestCloseWindowZeroAlloc pins the close path at 0 Go allocations. The
+// ingress group combiner closes the window inside the applying span
+// whenever no full next batch is waiting — once per span at low load,
+// tens of thousands of closes a second — so the per-close announcement
+// set and the retiree filter live on the Batcher, not the heap. P is
+// above 8 on purpose: a small-hint map stays on the stack and would hide
+// the allocation. One reader holds a resolved announcement naming a slot
+// the window retires, so the keep path runs too.
+func TestCloseWindowZeroAlloc(t *testing.T) {
+	const M, P = 64, 16
+	mem := pmem.New(pmem.Config{Words: 1 << 16})
+	rt := proc.NewRuntime(mem, P)
+	port := rt.Proc(0).Mem()
+	a := NewWithExtent(mem, port, M, P, 24, func(j int) uint64 { return 0 })
+	a.SetDurable(true)
+	h := a.NewHandle(port, 0)
+	b := a.NewBatcher(h, 24, 1<<30) // manual closes only
+
+	round := 0
+	commit := func() {
+		round++
+		b.BeginBatch()
+		for j := 0; j < 4; j++ {
+			b.BatchWrite(j, batchVal(round, j))
+		}
+		if b.CommitBatch() != 4 {
+			t.Fatal("uncontended batch lost a swing")
+		}
+	}
+	commit()
+	b.CloseWindow()
+	// Reader 1 announces object 0's current slot, resolved; the next
+	// window retires that slot and every close must keep it quarantined.
+	pinned := ptrSlot(port.Read(a.ptr))
+	port.Write(a.annAddr(1), packAnn(pinned, 1, false))
+
+	one := func() {
+		commit()
+		b.CloseWindow()
+	}
+	one() // grow the window lists to their steady size
+	if len(b.winRet) != 1 || b.winRet[0] != pinned {
+		t.Fatalf("announced retiree not kept: winRet = %v, want [%d]", b.winRet, pinned)
+	}
+	if avg := testing.AllocsPerRun(100, one); avg != 0 {
+		t.Fatalf("commit+CloseWindow allocates %v objects/run at P=%d, want 0", avg, P)
+	}
+	if len(b.winRet) != 1 || b.winRet[0] != pinned {
+		t.Fatalf("announced retiree released while still announced: winRet = %v", b.winRet)
+	}
+}
