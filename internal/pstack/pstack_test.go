@@ -19,6 +19,13 @@ type env struct {
 
 func newEnv(t testing.TB, P int, mode pmem.Mode, seed int64, opt, durable bool) *env {
 	t.Helper()
+	return newSeededEnv(t, P, mode, seed, opt, durable, 0)
+}
+
+// newSeededEnv is newEnv with the first `reserved` arena nodes kept out
+// of the allocators, for Seed.
+func newSeededEnv(t testing.TB, P int, mode pmem.Mode, seed int64, opt, durable bool, reserved uint32) *env {
+	t.Helper()
 	mem := pmem.New(pmem.Config{Words: 1 << 20, Mode: mode, Checked: true, Seed: seed})
 	rt := proc.NewRuntime(mem, P)
 	rt.SystemCrashMode = mode == pmem.Shared
@@ -35,7 +42,7 @@ func newEnv(t testing.TB, P int, mode pmem.Mode, seed int64, opt, durable bool) 
 	e.reg = capsule.NewRegistry()
 	e.s.Register(e.reg)
 	e.bases = capsule.AllocProcAreas(mem, P)
-	e.s.Init(rt.Proc(0).Mem(), 0)
+	e.s.Init(rt.Proc(0).Mem(), reserved)
 	return e
 }
 
@@ -163,6 +170,9 @@ func TestCrashSweep(t *testing.T) {
 						capsule.NewMachine(p, e.reg, e.bases[i]).Run()
 					}
 				})
+				// The outcome must be durable, not only visible.
+				e.rt.Proc(0).Disarm()
+				e.rt.CrashSystem()
 				if got := sink(e, 0); got != want {
 					t.Fatalf("mode=%v opt=%v crash@%d: sink=%d want %d", mode, opt, k, got, want)
 				}

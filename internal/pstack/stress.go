@@ -85,8 +85,9 @@ func RegisterStressDriver(reg *capsule.Registry, s *Stack, pairs uint64, keepGoi
 }
 
 // stressArena budgets the node arena: live nodes are bounded by
-// in-flight pairs, but a push-capsule repetition can leak one node per
-// restart (see qnode), so budget for the crash quota too.
+// in-flight pairs, but each restart can leak one node per process —
+// the popped node in its volatile spare, or the one a repeated push
+// generator allocated (see qnode) — so budget for the crash quota too.
 func stressArena(r *workload.Round) uint32 {
 	return uint32(r.Procs)*64 + uint32(r.Crashes)*uint32(r.Procs)*2 + 4096
 }

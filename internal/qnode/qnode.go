@@ -15,7 +15,10 @@
 // which is invisible to queue semantics — the paper's transformations
 // do not cover allocator recovery, and production persistent allocators
 // accept the same bounded leak in exchange for not persisting an intent
-// record per allocation.
+// record per allocation. The stack keeps a popped node in a one-slot
+// volatile spare for its process's next push instead of freeing it here;
+// a crash loses the spare, which stays within the same bound of one node
+// per crash per process.
 package qnode
 
 import (
