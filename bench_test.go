@@ -1,13 +1,11 @@
-// Benchmarks regenerating the paper's evaluation (Section 10): one
-// benchmark family per figure, plus the ablations DESIGN.md calls out
-// (A1 recoverable-CAS implementations, A2 capsule boundary flavours,
-// A3 writable-CAS overhead, E6 recovery latency).
+// Benchmarks of the ablations DESIGN.md calls out (A1 recoverable-CAS
+// implementations, A2 capsule boundary flavours, A3 writable-CAS
+// overhead, E6 recovery latency). The paper's figures themselves are
+// produced by cmd/benchfigs.
 //
-// Throughput numbers are from the simulated substrate on however many
-// cores the host has; the reproduction target is the per-variant
-// ordering and the reported per-op persistence costs (flushes/op,
-// fences/op), which are hardware-independent. cmd/benchfigs produces
-// the full figure tables.
+// Timings are from the simulated substrate on however many cores the
+// host has; the reported per-op persistence costs (flushes/op,
+// fences/op) are hardware-independent.
 package delayfree_test
 
 import (
@@ -15,7 +13,6 @@ import (
 	"testing"
 
 	"delayfree/internal/capsule"
-	"delayfree/internal/harness"
 	"delayfree/internal/logqueue"
 	"delayfree/internal/pmem"
 	"delayfree/internal/pqueue"
@@ -23,64 +20,7 @@ import (
 	"delayfree/internal/qnode"
 	"delayfree/internal/rcas"
 	"delayfree/internal/wcas"
-	"delayfree/internal/workload"
 )
-
-// benchFigure runs one harness kind at the given thread count, sized by
-// b.N, and reports throughput plus per-op persistence costs.
-func benchFigure(b *testing.B, kind string, threads int) {
-	cfg := harness.DefaultConfig()
-	cfg.Threads = threads
-	cfg.Params = workload.Params{"seed-nodes": 20000, "stack-seed": 20000}
-	cfg.Pairs = b.N/(2*threads) + 1
-	b.ResetTimer()
-	r, err := harness.Run(kind, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(r.MopsPerSec(), "Mops/s")
-	b.ReportMetric(r.FlushesPerOp(), "flushes/op")
-	b.ReportMetric(r.EffFlushesPerOp(), "eff-flushes/op")
-	b.ReportMetric(r.FencesPerOp(), "fences/op")
-	b.ReportMetric(r.BoundariesPerOp(), "boundaries/op")
-}
-
-func benchFigureFamily(b *testing.B, fig string) {
-	kinds, ok := workload.FigureKinds(fig)
-	if !ok {
-		b.Fatalf("figure %q not registered", fig)
-	}
-	for _, kind := range kinds {
-		for _, threads := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/p%d", kind, threads), func(b *testing.B) {
-				benchFigure(b, kind, threads)
-			})
-		}
-	}
-}
-
-// BenchmarkFig5 reproduces Figure 5: transformed queues under the
-// Izraelevitz construction vs the Izraelevitz MS queue.
-func BenchmarkFig5(b *testing.B) { benchFigureFamily(b, "5") }
-
-// BenchmarkFig6 reproduces Figure 6: manual-flush transformed queues vs
-// LogQueue and Romulus.
-func BenchmarkFig6(b *testing.B) { benchFigureFamily(b, "6") }
-
-// BenchmarkFig7 reproduces Figure 7: persistent queues vs the original
-// Michael–Scott queue.
-func BenchmarkFig7(b *testing.B) { benchFigureFamily(b, "7") }
-
-// BenchmarkMap sweeps the recoverable hash map workload family (the
-// repository's second workload beside the queues): volatile baseline vs
-// pmap vs sharded pmap under the default read-heavy mix.
-func BenchmarkMap(b *testing.B) { benchFigureFamily(b, "map") }
-
-// BenchmarkStack sweeps the Treiber stack workload family: volatile
-// Treiber baseline vs the Persistent Normalized Simulator stack over
-// full and compact capsule frames.
-func BenchmarkStack(b *testing.B) { benchFigureFamily(b, "stack") }
 
 // BenchmarkRCas is ablation A1: the paper's Algorithm 1 recoverable CAS
 // vs the Attiya et al. variant (which the paper's experiments used), on

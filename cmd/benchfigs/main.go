@@ -17,9 +17,9 @@
 //	benchfigs -fig 6 -threads 8 -pairs 50000 -seed-nodes 1000000
 //	benchfigs -fig stack             # Treiber stack workload family
 //	benchfigs -fig all -json out.json
-//	benchfigs -fig readheavy -reps 3 -json BENCH_4.json   # best-of-3 read-mix sweep
 //
-// Output is one table per figure: thread counts down the rows, kinds
+// Output is one table per figure: thread counts down the rows, figure
+// points (a kind, or a kind at a pinned parameter such as pmap-r90)
 // across the columns, throughput in Mops/s, followed by the
 // per-operation persistence costs that explain the ordering: issued
 // flushes (flush instructions), *effective* flushes (line write-backs
@@ -36,12 +36,32 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"delayfree/internal/workload"
 	_ "delayfree/internal/workload/all"
 )
+
+// sizes are the tunables that count something a run needs at least one
+// of — keys, map segments, batch slots, combiners — so no runner can
+// measure them at zero.
+var sizes = map[string]bool{"map-keys": true, "map-shards": true, "batch-max": true, "ingress-shards": true}
+
+// checkParams rejects a tunable value no runner can use, naming its
+// flag; params holds every registered tunable.
+func checkParams(params workload.Params) error {
+	for _, p := range workload.ParamDefs() {
+		switch v := params[p.Name]; {
+		case v < 0:
+			// Every registered tunable is a count, percentage or 0/1
+			// flag; negative values would wrap through the families'
+			// uint32 conversions into absurd allocations.
+			return fmt.Errorf("-%s must be >= 0 (got %d)", p.Name, v)
+		case v == 0 && sizes[p.Name]:
+			return fmt.Errorf("-%s must be >= 1 (got 0)", p.Name)
+		}
+	}
+	return nil
+}
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate (registered: see -list), recovery, or all")
@@ -50,10 +70,7 @@ func main() {
 	flushDelay := flag.Int("flush-delay", 250, "simulated flush latency (spin iterations)")
 	fenceDelay := flag.Int("fence-delay", 120, "simulated fence latency (spin iterations)")
 	jsonPath := flag.String("json", "", "write machine-readable results to this file")
-	reps := flag.Int("reps", 1, "sweep repetitions; each (kind, threads) point reports its best-of-N run")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof allocation profile (after the sweep) to this file")
-	list := flag.Bool("list", false, "list registered figures and kinds, then exit")
+	list := flag.Bool("list", false, "list registered figures and their points, then exit")
 
 	// Per-family tunables come from the registry.
 	paramFlags := map[string]*int64{}
@@ -62,18 +79,22 @@ func main() {
 	}
 	flag.Parse()
 
+	figures := workload.Figures()
 	if *list {
 		for _, name := range workload.FigureNames() {
-			kinds, _ := workload.FigureKinds(name)
-			fmt.Printf("%-10s %v\n", name, kinds)
+			labels := make([]string, len(figures[name]))
+			for i, p := range figures[name] {
+				labels[i] = p.Label
+			}
+			fmt.Printf("%-10s %v\n", name, labels)
 		}
 		fmt.Printf("history-audited families (crashstress -audit order): %v\n",
 			workload.AuditedFamilies())
 		return
 	}
 
-	if *maxThreads < 1 || *pairs < 1 || *flushDelay < 0 || *fenceDelay < 0 || *reps < 1 {
-		fmt.Fprintln(os.Stderr, "-threads, -pairs and -reps must be >= 1, delays >= 0")
+	if *maxThreads < 1 || *pairs < 1 || *flushDelay < 0 || *fenceDelay < 0 {
+		fmt.Fprintln(os.Stderr, "-threads and -pairs must be >= 1, delays >= 0")
 		os.Exit(2)
 	}
 	cfg := workload.Config{
@@ -83,52 +104,16 @@ func main() {
 		Params:     workload.Params{},
 	}
 	for name, v := range paramFlags {
-		// Every registered tunable is a count, percentage or 0/1 flag;
-		// negative values would wrap through the families' uint32
-		// conversions into absurd allocations.
-		if *v < 0 {
-			fmt.Fprintf(os.Stderr, "-%s must be >= 0 (got %d)\n", name, *v)
-			os.Exit(2)
-		}
 		cfg.Params[name] = *v
+	}
+	if err := checkParams(cfg.Params); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	threads := make([]int, 0, *maxThreads)
 	for t := 1; t <= *maxThreads; t++ {
 		threads = append(threads, t)
-	}
-
-	// Profiling hooks: the CPU profile covers everything from here
-	// (i.e. the sweeps, not flag parsing); the allocation profile is a
-	// post-sweep heap snapshot with up-to-date allocation counters.
-	// See EXPERIMENTS.md, "Profiling the harness".
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			runtime.GC() // flush allocation counters into the profile
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}()
 	}
 
 	var figNames []string
@@ -148,26 +133,15 @@ func main() {
 
 	results := map[string][]workload.Result{}
 	for _, name := range figNames {
-		kinds, ok := workload.FigureKinds(name)
+		points, ok := figures[name]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown figure %q (registered: %v)\n", name, workload.FigureNames())
 			os.Exit(2)
 		}
-		// Best-of-N: repeat the whole sweep and keep each point's best
-		// run, suppressing single-vCPU scheduler noise. The recorded
-		// BENCH_*.json trajectories are produced with -reps 3.
-		var res []workload.Result
-		for rep := 0; rep < *reps; rep++ {
-			one, err := workload.Sweep(kinds, threads, cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if rep == 0 {
-				res = one
-			} else {
-				res = workload.BestOf(res, one)
-			}
+		res, err := workload.Sweep(points, threads, cfg)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 		results[name] = res
 		workload.PrintTable(os.Stdout, "Figure "+name, res)

@@ -12,7 +12,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"delayfree"
+	"delayfree/internal/pmem"
+	"delayfree/internal/proc"
 	"delayfree/internal/romulus"
 )
 
@@ -24,16 +25,16 @@ const (
 )
 
 func main() {
-	mem := delayfree.NewMemory(delayfree.MemConfig{
+	mem := pmem.New(pmem.Config{
 		Words:   1 << 16,
-		Mode:    delayfree.SharedModel,
+		Mode:    pmem.Shared,
 		Checked: true,
 		Seed:    7,
 	})
-	rt := delayfree.NewRuntime(mem, 1)
+	rt := proc.NewRuntime(mem, 1)
 	port := rt.Proc(0).Mem()
 
-	tm := delayfree.NewRomulusTM(mem, port, accounts+8, 1)
+	tm := romulus.New(mem, port, accounts+8, 1)
 	h := tm.NewHandle(port, 0)
 	h.Update(func(tx *romulus.Tx) {
 		for a := uint64(0); a < accounts; a++ {

@@ -21,7 +21,13 @@ package main
 import (
 	"fmt"
 
-	"delayfree"
+	"delayfree/internal/capsule"
+	"delayfree/internal/ingress"
+	"delayfree/internal/pmem"
+	"delayfree/internal/pqueue"
+	"delayfree/internal/proc"
+	"delayfree/internal/qnode"
+	"delayfree/internal/rcas"
 )
 
 const (
@@ -39,73 +45,73 @@ func jobID(pid int, attempt uint64) uint64 { return uint64(pid)<<32 | attempt }
 
 func main() {
 	N := producers + 1 // +1 combiner
-	mem := delayfree.NewMemory(delayfree.MemConfig{
+	mem := pmem.New(pmem.Config{
 		Words:   1 << 18,
-		Mode:    delayfree.SharedModel, // durability requires flushes + fences
+		Mode:    pmem.Shared, // durability requires flushes + fences
 		Checked: true,
 		Seed:    7,
 	})
-	rt := delayfree.NewRuntime(mem, N)
+	rt := proc.NewRuntime(mem, N)
 	rt.SystemCrashMode = true // all processors fail together
 
-	arena := delayfree.NewNodeArena(mem, arenaCap)
-	q := delayfree.NewGeneralQueue(delayfree.QueueConfig{
+	arena := qnode.NewArena(mem, arenaCap)
+	q := pqueue.NewGeneral(pqueue.Config{
 		Mem:     mem,
-		Space:   delayfree.NewRCas(mem, N),
+		Space:   rcas.NewSpace(mem, N),
 		Arena:   arena,
 		P:       N,
 		Durable: true,
 		Opt:     true,
 	})
-	q.Init(rt.Proc(0).Mem(), delayfree.QueueDummyNode)
+	q.Init(rt.Proc(0).Mem(), pqueue.DummyNode)
 	// The combiner's private node pool: jobs are packed 4 nodes per
 	// line, so a batch of 8 persists 2-3 chain lines instead of 8.
-	npool := delayfree.NewPackedNodePool(mem, arena, segNodes, nsegs, N)
-	append_ := delayfree.BatchEnqueuer(q, npool)
+	npool := qnode.NewPackedPool(mem, arena, segNodes, nsegs, N)
+	append_ := pqueue.BatchEnqueuer(q, npool)
 
-	pool := delayfree.NewIngressPool(1, ringCap, batchMax, producers)
+	pool := ingress.NewPool(1, ringCap, batchMax, producers)
 	// A full-system crash destroys the volatile ring; in-flight jobs are
 	// abandoned by their producers, never resubmitted.
 	rt.OnSystemCrash = func(uint64) { pool.Reset() }
 
-	reg := delayfree.NewRegistry()
-	bases := delayfree.AllocCapsuleAreas(mem, N)
+	reg := capsule.NewRegistry()
+	bases := capsule.AllocProcAreas(mem, N)
 	for i := 0; i < producers; i++ {
 		pid := i
-		rid := delayfree.RegisterBatchProducer(reg, fmt.Sprintf("producer%d", pid), pool, pid, jobsEach, window,
-			func(attempt uint64) delayfree.IngressAttempt {
-				return delayfree.IngressAttempt{
-					Rec: delayfree.IngressRecord{Op: delayfree.IngressOpEnqueue, A: jobID(pid, attempt)},
+		rid := ingress.RegisterProducerDriver(reg, fmt.Sprintf("producer%d", pid), pool, pid, jobsEach, window, nil,
+			func(attempt uint64) ingress.Attempt {
+				return ingress.Attempt{
+					Rec: ingress.Record{Op: ingress.OpEnqueue, A: jobID(pid, attempt)},
 				}
-			})
-		delayfree.InstallRoutine(rt.Proc(pid).Mem(), bases[pid], reg, rid)
+			}, nil)
+		capsule.Install(rt.Proc(pid).Mem(), bases[pid], reg, rid)
 	}
 	vals := make([]uint64, batchMax)
-	comb := delayfree.RegisterBatchCombiner(reg, "job-sink", pool, 0,
-		func(c *delayfree.Ctx, batch []delayfree.IngressRecord) {
+	comb := ingress.RegisterCombiner(reg, "job-sink", pool, 0,
+		func(c *capsule.Ctx, batch []ingress.Record) {
 			for i := range batch {
 				vals[i] = batch[i].A
 			}
 			append_(c, vals[:len(batch)])
 		})
-	delayfree.InstallRoutine(rt.Proc(producers).Mem(), bases[producers], reg, comb)
+	capsule.Install(rt.Proc(producers).Mem(), bases[producers], reg, comb)
 
 	for i := 0; i < N; i++ {
 		rt.Proc(i).AutoCrash(int64(100+i), 500, 1500)
 	}
-	rt.RunToCompletion(func(i int) delayfree.Program {
+	rt.RunToCompletion(func(i int) proc.Program {
 		if i == producers { // the combiner: a restart kills its in-flight batch
 			sh := pool.Shard(0)
-			return func(p *delayfree.Proc) {
+			return func(p *proc.Proc) {
 				if p.PeekCrashed() {
 					sh.Epoch.Add(1)
 					npool.Rollback() // the un-spliced batch died with the ring
 				}
-				delayfree.NewMachine(p, reg, bases[i]).Run()
+				capsule.NewMachine(p, reg, bases[i]).Run()
 			}
 		}
-		return func(p *delayfree.Proc) {
-			delayfree.NewMachine(p, reg, bases[i]).Run()
+		return func(p *proc.Proc) {
+			capsule.NewMachine(p, reg, bases[i]).Run()
 			pool.MarkDone(i) // only reached on normal completion
 		}
 	})
@@ -118,12 +124,12 @@ func main() {
 	acked := make([]uint64, producers)
 	abandoned := make([]uint64, producers)
 	for i := 0; i < producers; i++ {
-		_, _, locals := delayfree.NewMachine(rt.Proc(i), reg, bases[i]).LoadState()
-		if locals[delayfree.IngressSlotAttempts] < jobsEach {
+		_, _, locals := capsule.NewMachine(rt.Proc(i), reg, bases[i]).LoadState()
+		if locals[ingress.SlotIdx] < jobsEach {
 			panic("producer stopped early")
 		}
-		acked[i] = locals[delayfree.IngressSlotReturned]
-		abandoned[i] = locals[delayfree.IngressSlotAbandoned]
+		acked[i] = locals[ingress.SlotRet]
+		abandoned[i] = locals[ingress.SlotAband]
 	}
 	log := q.Drain(rt.Proc(0).Mem())
 	seen := make(map[uint64]bool, len(log))

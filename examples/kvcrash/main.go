@@ -19,14 +19,18 @@ package main
 import (
 	"fmt"
 
-	"delayfree"
 	"delayfree/internal/capsule"
+	"delayfree/internal/pmap"
+	"delayfree/internal/pmem"
+	"delayfree/internal/proc"
+	"delayfree/internal/workload"
+	_ "delayfree/internal/workload/all"
 )
 
 func main() {
 	// Part 1: the registry's packaged crash-stress with a shadow-model
 	// exactness check.
-	rep, err := delayfree.RunCrashStress("pmap", delayfree.StressConfig{
+	rep, err := workload.RunStress("pmap", workload.StressConfig{
 		Procs:   3,
 		Ops:     300,
 		Crashes: 400,
@@ -41,16 +45,16 @@ func main() {
 
 	// Part 2: the recovery API by hand.
 	const P = 2
-	mem := delayfree.NewMemory(delayfree.MemConfig{
+	mem := pmem.New(pmem.Config{
 		Words:   1 << 16,
-		Mode:    delayfree.SharedModel,
+		Mode:    pmem.Shared,
 		Checked: true,
 		Seed:    42,
 	})
-	rt := delayfree.NewRuntime(mem, P)
+	rt := proc.NewRuntime(mem, P)
 	rt.SystemCrashMode = true
 
-	m := delayfree.NewRecoverableMap(delayfree.RecoverableMapConfig{
+	m := pmap.New(pmap.Config{
 		Mem:     mem,
 		P:       P,
 		Buckets: 64,
@@ -61,17 +65,17 @@ func main() {
 	m.Init(setup, map[uint64]uint64{100: 1}) // pre-seeded contents
 	m.Bind(rt)
 
-	reg := delayfree.NewRegistry()
+	reg := capsule.NewRegistry()
 	m.Register(reg)
-	bases := delayfree.AllocCapsuleAreas(mem, P)
+	bases := capsule.AllocProcAreas(mem, P)
 	for i := 0; i < P; i++ {
 		capsule.InstallIdle(rt.Proc(i).Mem(), bases[i], reg, m.Routine())
 	}
 
 	// Both processes insert their keys, then the whole system crashes.
-	rt.RunToCompletion(func(i int) delayfree.Program {
-		return func(p *delayfree.Proc) {
-			mach := delayfree.NewMachine(p, reg, bases[i])
+	rt.RunToCompletion(func(i int) proc.Program {
+		return func(p *proc.Proc) {
+			mach := capsule.NewMachine(p, reg, bases[i])
 			for k := uint64(1); k <= 5; k++ {
 				mach.Invoke(m.Routine(), m.PutEntry(), uint64(i)<<8|k, k*10)
 			}
@@ -82,9 +86,9 @@ func main() {
 	// Recovery: rebuild the writable-CAS slot pools once, quiescently,
 	// then operate as if nothing happened.
 	m.Recover(setup)
-	rt.RunToCompletion(func(i int) delayfree.Program {
-		return func(p *delayfree.Proc) {
-			mach := delayfree.NewMachine(p, reg, bases[i])
+	rt.RunToCompletion(func(i int) proc.Program {
+		return func(p *proc.Proc) {
+			mach := capsule.NewMachine(p, reg, bases[i])
 			for k := uint64(1); k <= 5; k++ {
 				r := mach.Invoke(m.Routine(), m.GetEntry(), uint64(i)<<8|k)
 				if r[0] == 0 || r[1] != k*10 {

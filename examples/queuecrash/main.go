@@ -19,7 +19,8 @@ package main
 import (
 	"fmt"
 
-	"delayfree"
+	"delayfree/internal/workload"
+	_ "delayfree/internal/workload/all"
 )
 
 func main() {
@@ -28,7 +29,7 @@ func main() {
 		if shared {
 			model = "shared-cache (full-system crashes)"
 		}
-		rep, err := delayfree.RunCrashStress("normalized-opt", delayfree.StressConfig{
+		rep, err := workload.RunStress("normalized-opt", workload.StressConfig{
 			Procs:  3,
 			Ops:    200, // enqueue-dequeue pairs per process
 			Seed:   42,

@@ -13,7 +13,10 @@ package main
 import (
 	"fmt"
 
-	"delayfree"
+	"delayfree/internal/capsule"
+	"delayfree/internal/pmem"
+	"delayfree/internal/proc"
+	"delayfree/internal/rcas"
 )
 
 const (
@@ -24,13 +27,13 @@ const (
 func main() {
 	const P, perProc = 4, 1000
 
-	mem := delayfree.NewMemory(delayfree.MemConfig{
+	mem := pmem.New(pmem.Config{
 		Words:   1 << 16,
-		Mode:    delayfree.PrivateModel,
+		Mode:    pmem.Private,
 		Checked: true,
 	})
-	rt := delayfree.NewRuntime(mem, P)
-	space := delayfree.NewRCas(mem, P)
+	rt := proc.NewRuntime(mem, P)
+	space := rcas.NewSpace(mem, P)
 	counter := mem.AllocLines(1)
 
 	// Seed the counter cell durably with the batch persist idiom: write,
@@ -38,30 +41,30 @@ func main() {
 	// fence). In the private model the fence is a counted no-op, but the
 	// same line works unchanged under the shared-cache model.
 	setup := mem.NewPort()
-	setup.Write(counter, delayfree.PackTriple(0, P, 0)) // alias of process 0
+	setup.Write(counter, rcas.Pack(0, P, 0)) // alias of process 0
 	setup.PersistEpoch(counter)
 
 	// The routine: pc0 reads the counter (a Read-Only capsule), pc1 is
 	// the CAS-Read capsule of Algorithm 3 — the recoverable CAS first,
 	// recovery-checked when re-executed after a crash.
-	reg := delayfree.NewRegistry()
+	reg := capsule.NewRegistry()
 	incr := reg.Register("incr", false,
-		func(c *delayfree.Ctx) { // pc0
+		func(c *capsule.Ctx) { // pc0
 			if c.Local(slotRemaining) == 0 {
-				c.Finish(delayfree.TripleVal(space.ReadFull(c.Mem(), counter)))
+				c.Finish(rcas.Val(space.ReadFull(c.Mem(), counter)))
 				return
 			}
 			c.SetLocal(slotExpected, space.ReadFull(c.Mem(), counter))
 			c.Boundary(1)
 		},
-		func(c *delayfree.Ctx) { // pc1
+		func(c *capsule.Ctx) { // pc1
 			pid := c.P().ID()
 			seq := c.NextSeq()
 			exp := c.Local(slotExpected)
 			done := c.Crashed() && space.CheckRecovery(c.Mem(), counter, seq, pid)
 			if !done {
 				done = space.Cas(c.Mem(), counter, exp,
-					delayfree.TripleVal(exp)+1, seq, pid)
+					rcas.Val(exp)+1, seq, pid)
 			}
 			if done {
 				c.SetLocal(slotRemaining, c.Local(slotRemaining)-1)
@@ -70,20 +73,20 @@ func main() {
 		},
 	)
 
-	bases := delayfree.AllocCapsuleAreas(mem, P)
+	bases := capsule.AllocProcAreas(mem, P)
 	for i := 0; i < P; i++ {
-		delayfree.InstallRoutine(rt.Proc(i).Mem(), bases[i], reg, incr, perProc)
+		capsule.Install(rt.Proc(i).Mem(), bases[i], reg, incr, perProc)
 		// Randomized crash injection: every 200–2000 instructions.
 		rt.Proc(i).AutoCrash(int64(i)+1, 200, 2000)
 	}
-	rt.GoAll(func(i int) delayfree.Program {
-		return func(p *delayfree.Proc) {
-			delayfree.NewMachine(p, reg, bases[i]).Run()
+	rt.GoAll(func(i int) proc.Program {
+		return func(p *proc.Proc) {
+			capsule.NewMachine(p, reg, bases[i]).Run()
 		}
 	})
 	rt.Wait()
 
-	total := delayfree.TripleVal(mem.VisibleWord(counter))
+	total := rcas.Val(mem.VisibleWord(counter))
 	crashes := uint64(0)
 	for i := 0; i < P; i++ {
 		crashes += rt.Proc(i).Restarts()

@@ -15,22 +15,24 @@ package main
 import (
 	"fmt"
 
-	"delayfree"
+	"delayfree/internal/pmem"
+	"delayfree/internal/proc"
+	"delayfree/internal/wcas"
 )
 
 func main() {
 	const P = 4
 	const perProc = 20000
 
-	mem := delayfree.NewMemory(delayfree.MemConfig{Words: 1 << 18})
-	rt := delayfree.NewRuntime(mem, P)
-	arr := delayfree.NewWritableCasArray(mem, rt.Proc(0).Mem(), 2, P,
+	mem := pmem.New(pmem.Config{Words: 1 << 18})
+	rt := proc.NewRuntime(mem, P)
+	arr := wcas.New(mem, rt.Proc(0).Mem(), 2, P,
 		func(j int) uint64 { return 0 })
 
 	// Object 0: the racy register (written + CASed). Object 1: a
 	// CAS-only counter tracking successful conditional updates.
-	rt.GoAll(func(i int) delayfree.Program {
-		return func(p *delayfree.Proc) {
+	rt.GoAll(func(i int) proc.Program {
+		return func(p *proc.Proc) {
 			h := arr.NewHandle(p.Mem(), i)
 			if i == 0 {
 				for k := 1; k <= perProc; k++ {

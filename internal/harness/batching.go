@@ -48,72 +48,32 @@ func init() {
 	)
 	workload.RegisterBencher(workload.Bencher{Kind: KindQueueBatched, Family: "queue", Run: runQueueBatched})
 	workload.RegisterBencher(workload.Bencher{Kind: KindStackBatched, Family: "stack", Run: runStackBatched})
-	workload.RegisterBencher(workload.Bencher{Kind: KindMapBatched, Family: "map",
-		Run: func(cfg Config) Result { return runMapBatched(KindMapBatched, cfg) }})
+	workload.RegisterBencher(workload.Bencher{Kind: KindMapBatched, Family: "map", Run: runMapBatched})
 
 	// The batching figure sweeps batch size over every family, with the
 	// strongest unbatched kind of each family as the 1x reference. The
 	// map points pin read-pct 0 (write-only) so the batch-size curve is
 	// not diluted by fast-lane reads that bypass the rings anyway.
-	batching := []string{KindNormalizedOpt, KindPStackOpt, "pmap-r0"}
+	batching := append(plain(KindNormalizedOpt, KindPStackOpt),
+		workload.Point{Label: "pmap-r0", Kind: KindPmap, Params: workload.Params{"read-pct": 0}})
 	for _, bm := range []int64{1, 4, 16, 64, 256} {
-		for _, base := range []string{KindQueueBatched, KindStackBatched, KindMapBatched} {
-			kind := fmt.Sprintf("%s-b%d", base, bm)
-			batching = append(batching, kind)
-			run := func(cfg Config) Result {
-				cfg.Params = cfg.Params.Set("batch-max", bm)
-				var r Result
-				switch base {
-				case KindQueueBatched:
-					r = runQueueBatched(cfg)
-				case KindStackBatched:
-					r = runStackBatched(cfg)
-				default:
-					cfg.Params = cfg.Params.Set("read-pct", 0)
-					r = runMapBatched(base, cfg)
-				}
-				r.Kind = kind
-				return r
+		for _, kind := range []string{KindQueueBatched, KindStackBatched, KindMapBatched} {
+			pt := workload.Point{Label: fmt.Sprintf("%s-b%d", kind, bm), Kind: kind,
+				Params: workload.Params{"batch-max": bm}}
+			if kind == KindMapBatched {
+				pt.Params["read-pct"] = 0
 			}
-			family := "queue"
-			switch base {
-			case KindStackBatched:
-				family = "stack"
-			case KindMapBatched:
-				family = "map"
-			}
-			workload.RegisterBencher(workload.Bencher{Kind: kind, Family: family, Run: run})
+			batching = append(batching, pt)
 		}
 	}
 	// Read-mix points at b64 show the group commit composing with the
-	// PR 5 read-only fast lane (producer Gets bypass the rings, so
-	// deferred windows and volatile reads interleave).
+	// read-only fast lane (producer Gets bypass the rings, so deferred
+	// windows and volatile reads interleave).
 	for _, rp := range []int64{50, 90} {
-		rp := rp
-		kind := fmt.Sprintf("%s-b64-r%d", KindMapBatched, rp)
-		batching = append(batching, kind)
-		workload.RegisterBencher(workload.Bencher{Kind: kind, Family: "map",
-			Run: func(cfg Config) Result {
-				cfg.Params = cfg.Params.Set("batch-max", 64).Set("read-pct", rp)
-				r := runMapBatched(KindMapBatched, cfg)
-				r.Kind = kind
-				return r
-			}})
+		batching = append(batching, workload.Point{Label: fmt.Sprintf("%s-b64-r%d", KindMapBatched, rp),
+			Kind: KindMapBatched, Params: workload.Params{"batch-max": 64, "read-pct": rp}})
 	}
 	workload.RegisterFigure("batching", batching...)
-}
-
-// batchGeom resolves the shared batched-kind geometry.
-func batchGeom(cfg Config) (shards, batchMax int) {
-	shards = int(cfg.Param("ingress-shards"))
-	if shards < 1 {
-		shards = 1
-	}
-	batchMax = int(cfg.Param("batch-max"))
-	if batchMax < 1 {
-		batchMax = 1
-	}
-	return shards, batchMax
 }
 
 // ringCapacity sizes a shard ring: enough runway that producers rarely
@@ -150,7 +110,7 @@ type chainEnv struct {
 }
 
 func runQueueBatched(cfg Config) Result {
-	return runChainBatched(KindQueueBatched, ingress.OpEnqueue, seedNodes(cfg), cfg,
+	return runChainBatched(ingress.OpEnqueue, seedNodes(cfg), cfg,
 		func(e chainEnv) func(*qnode.PackedPool) chainApplier {
 			q := pqueue.NewGeneral(pqueue.Config{
 				Mem: e.mem, Space: e.space, Arena: e.arena, P: e.P, Durable: true, Opt: true,
@@ -164,7 +124,7 @@ func runQueueBatched(cfg Config) Result {
 }
 
 func runStackBatched(cfg Config) Result {
-	return runChainBatched(KindStackBatched, ingress.OpPush, uint32(cfg.Param("stack-seed")), cfg,
+	return runChainBatched(ingress.OpPush, uint32(cfg.Param("stack-seed")), cfg,
 		func(e chainEnv) func(*qnode.PackedPool) chainApplier {
 			s := pstack.New(pstack.Config{
 				Mem: e.mem, Space: e.space, Arena: e.arena, P: e.P, Durable: true, Opt: true,
@@ -181,9 +141,9 @@ func runStackBatched(cfg Config) Result {
 // which differ only in the structure (build constructs and seeds it,
 // then yields one applier per combiner pool) and the op code producers
 // publish.
-func runChainBatched(kind string, op uint8, seed uint32, cfg Config,
+func runChainBatched(op uint8, seed uint32, cfg Config,
 	build func(chainEnv) func(*qnode.PackedPool) chainApplier) Result {
-	shards, batchMax := batchGeom(cfg)
+	shards, batchMax := int(cfg.Param("ingress-shards")), int(cfg.Param("batch-max"))
 	T := cfg.Threads
 	P := T + shards
 	perProducer := uint64(cfg.Pairs) * 2
@@ -234,17 +194,14 @@ func runChainBatched(kind string, op uint8, seed uint32, cfg Config,
 			pool.MarkDone(i)
 		}
 	})
-	return collect(kind, cfg, rt, start)
+	return collect(cfg, rt, start)
 }
 
-func runMapBatched(kind string, cfg Config) Result {
-	shards, batchMax := batchGeom(cfg)
+func runMapBatched(cfg Config) Result {
+	shards, batchMax := int(cfg.Param("ingress-shards")), int(cfg.Param("batch-max"))
 	T := cfg.Threads
 	P := T + shards
 	keys := int(cfg.Param("map-keys"))
-	if keys <= 0 {
-		keys = 1024
-	}
 	buckets := 2 * keys
 	readPct := int(cfg.Param("read-pct"))
 	ops := cfg.Pairs * 2
@@ -332,5 +289,5 @@ func runMapBatched(kind string, cfg Config) Result {
 			pool.MarkDone(i)
 		}
 	})
-	return collect(kind, cfg, rt, start)
+	return collect(cfg, rt, start)
 }

@@ -3,8 +3,9 @@
 // family (queue, map, stack) it contributes benchmark kinds that run a
 // fixed-work measurement and report throughput and the per-operation
 // persistence costs (flushes, fences, CASes, capsule boundaries) that
-// drive the figures' shape, plus the figures comparing them and the
-// family's tunables.
+// drive the figures' shape, plus the figures comparing them (lists of
+// points, each a kind at a parameter setting) and the family's
+// tunables.
 //
 // This file is the queue family: T threads running enqueue-dequeue
 // pairs against a queue pre-seeded with a large number of nodes, for
@@ -59,12 +60,6 @@ type Config = workload.Config
 // Result is one measured point.
 type Result = workload.Result
 
-// AllKinds lists every registered kind, across all families.
-func AllKinds() []string { return workload.Kinds() }
-
-// Run measures one registered kind under cfg.
-func Run(kind string, cfg Config) (Result, error) { return workload.Run(kind, cfg) }
-
 // DefaultConfig mirrors the paper's setup scaled to the simulator;
 // family tunables resolve to their registered defaults.
 func DefaultConfig() Config {
@@ -90,18 +85,28 @@ func init() {
 	}
 	register(KindMSQ, func(cfg Config) Result { return runMSQ(cfg, false) })
 	register(KindIzraMSQ, func(cfg Config) Result { return runMSQ(cfg, true) })
-	register(KindGeneralIzra, func(cfg Config) Result { return runTransformed(cfg, KindGeneralIzra, false, false, true) })
-	register(KindNormalizedIzra, func(cfg Config) Result { return runTransformed(cfg, KindNormalizedIzra, true, false, true) })
-	register(KindGeneral, func(cfg Config) Result { return runTransformed(cfg, KindGeneral, false, false, false) })
-	register(KindGeneralOpt, func(cfg Config) Result { return runTransformed(cfg, KindGeneralOpt, false, true, false) })
-	register(KindNormalized, func(cfg Config) Result { return runTransformed(cfg, KindNormalized, true, false, false) })
-	register(KindNormalizedOpt, func(cfg Config) Result { return runTransformed(cfg, KindNormalizedOpt, true, true, false) })
+	register(KindGeneralIzra, func(cfg Config) Result { return runTransformed(cfg, false, false, true) })
+	register(KindNormalizedIzra, func(cfg Config) Result { return runTransformed(cfg, true, false, true) })
+	register(KindGeneral, func(cfg Config) Result { return runTransformed(cfg, false, false, false) })
+	register(KindGeneralOpt, func(cfg Config) Result { return runTransformed(cfg, false, true, false) })
+	register(KindNormalized, func(cfg Config) Result { return runTransformed(cfg, true, false, false) })
+	register(KindNormalizedOpt, func(cfg Config) Result { return runTransformed(cfg, true, true, false) })
 	register(KindLogQueue, runLogQueue)
 	register(KindRomulus, runRomulus)
 
-	workload.RegisterFigure("5", KindIzraMSQ, KindGeneralIzra, KindNormalizedIzra)
-	workload.RegisterFigure("6", KindGeneral, KindGeneralOpt, KindNormalized, KindNormalizedOpt, KindLogQueue, KindRomulus)
-	workload.RegisterFigure("7", KindMSQ, KindGeneral, KindNormalized, KindNormalizedOpt, KindLogQueue, KindRomulus)
+	workload.RegisterFigure("5", plain(KindIzraMSQ, KindGeneralIzra, KindNormalizedIzra)...)
+	workload.RegisterFigure("6", plain(KindGeneral, KindGeneralOpt, KindNormalized, KindNormalizedOpt, KindLogQueue, KindRomulus)...)
+	workload.RegisterFigure("7", plain(KindMSQ, KindGeneral, KindNormalized, KindNormalizedOpt, KindLogQueue, KindRomulus)...)
+}
+
+// plain returns figure points that measure each kind at the run's own
+// parameters, labelled with the kind's name.
+func plain(kinds ...string) []workload.Point {
+	out := make([]workload.Point, len(kinds))
+	for i, k := range kinds {
+		out[i] = workload.Point{Label: k, Kind: k}
+	}
+	return out
 }
 
 // seedNodes resolves the queue family's initial-length tunable.
@@ -120,10 +125,6 @@ func memFor(cfg Config, extraWords uint64) *pmem.Memory {
 }
 
 func runMSQ(cfg Config, izra bool) Result {
-	kind := KindMSQ
-	if izra {
-		kind = KindIzraMSQ
-	}
 	seed := seedNodes(cfg)
 	mem := memFor(cfg, 0)
 	rt := proc.NewRuntime(mem, cfg.Threads)
@@ -138,21 +139,17 @@ func runMSQ(cfg Config, izra bool) Result {
 			rt.Proc(i).Mem().Auto = true
 		}
 	}
-	start := time.Now()
-	rt.RunToCompletion(func(i int) proc.Program {
-		return func(p *proc.Proc) {
-			lo, hi := arena.Range(i, cfg.Threads, seed+1)
-			h := q.NewHandle(p.Mem(), lo, hi)
-			for k := 0; k < cfg.Pairs; k++ {
-				h.Enqueue(uint64(i)<<40 | uint64(k))
-				h.Dequeue()
-			}
+	return runPairs(cfg, rt, func(p *proc.Proc) func(uint64) {
+		lo, hi := arena.Range(p.ID(), cfg.Threads, seed+1)
+		h := q.NewHandle(p.Mem(), lo, hi)
+		return func(v uint64) {
+			h.Enqueue(v)
+			h.Dequeue()
 		}
 	})
-	return collect(kind, cfg, rt, start)
 }
 
-func runTransformed(cfg Config, kind string, normalized, opt, izra bool) Result {
+func runTransformed(cfg Config, normalized, opt, izra bool) Result {
 	seed := seedNodes(cfg)
 	mem := memFor(cfg, 0)
 	rt := proc.NewRuntime(mem, cfg.Threads)
@@ -193,22 +190,18 @@ func runTransformed(cfg Config, kind string, normalized, opt, izra bool) Result 
 	for i := 0; i < cfg.Threads; i++ {
 		capsule.InstallIdle(rt.Proc(i).Mem(), bases[i], reg, q.EnqRoutine())
 	}
-	start := time.Now()
 	// Per the paper's methodology, the benchmark loop itself is not
 	// encapsulated ("before calling each of the queue operations, the
 	// general program has to execute a capsule boundary ... since this
 	// additional overhead would be the same for all queues tested, we
 	// omit it"); each operation is a recoverable Invoke.
-	rt.RunToCompletion(func(i int) proc.Program {
-		return func(p *proc.Proc) {
-			m := capsule.NewMachine(p, reg, bases[i])
-			for k := 0; k < cfg.Pairs; k++ {
-				m.Invoke(q.EnqRoutine(), q.EnqEntry(), uint64(i)<<40|uint64(k))
-				m.Invoke(q.DeqRoutine(), q.DeqEntry())
-			}
+	return runPairs(cfg, rt, func(p *proc.Proc) func(uint64) {
+		m := capsule.NewMachine(p, reg, bases[p.ID()])
+		return func(v uint64) {
+			m.Invoke(q.EnqRoutine(), q.EnqEntry(), v)
+			m.Invoke(q.DeqRoutine(), q.DeqEntry())
 		}
 	})
-	return collect(kind, cfg, rt, start)
 }
 
 func runLogQueue(cfg Config) Result {
@@ -221,18 +214,14 @@ func runLogQueue(cfg Config) Result {
 	if seed > 0 {
 		q.Seed(setup, 2, seed, func(i uint32) uint64 { return uint64(i) })
 	}
-	start := time.Now()
-	rt.RunToCompletion(func(i int) proc.Program {
-		return func(p *proc.Proc) {
-			lo, hi := arena.Range(i, cfg.Threads, seed+1)
-			h := q.NewHandle(p.Mem(), i, lo, hi)
-			for k := 0; k < cfg.Pairs; k++ {
-				h.Enqueue(uint64(i)<<40 | uint64(k))
-				h.Dequeue()
-			}
+	return runPairs(cfg, rt, func(p *proc.Proc) func(uint64) {
+		lo, hi := arena.Range(p.ID(), cfg.Threads, seed+1)
+		h := q.NewHandle(p.Mem(), p.ID(), lo, hi)
+		return func(v uint64) {
+			h.Enqueue(v)
+			h.Dequeue()
 		}
 	})
-	return collect(KindLogQueue, cfg, rt, start)
 }
 
 func runRomulus(cfg Config) Result {
@@ -253,24 +242,35 @@ func runRomulus(cfg Config) Result {
 		th := tm.NewHandle(setup, 0)
 		q.Seed(th, uint64(seed), func(i uint64) uint64 { return i })
 	}
+	return runPairs(cfg, rt, func(p *proc.Proc) func(uint64) {
+		h := q.NewHandle(tm.NewHandle(p.Mem(), p.ID()))
+		return func(v uint64) {
+			h.Enqueue(v)
+			h.Dequeue()
+		}
+	})
+}
+
+// runPairs is the timed loop of every fixed-work pair runner: each
+// process builds its handle with newPair, then runs cfg.Pairs pairs,
+// pair k of process i inserting the value i<<40 | k.
+func runPairs(cfg Config, rt *proc.Runtime, newPair func(p *proc.Proc) func(v uint64)) Result {
 	start := time.Now()
 	rt.RunToCompletion(func(i int) proc.Program {
 		return func(p *proc.Proc) {
-			h := q.NewHandle(tm.NewHandle(p.Mem(), i))
+			pair := newPair(p)
 			for k := 0; k < cfg.Pairs; k++ {
-				h.Enqueue(uint64(i)<<40 | uint64(k))
-				h.Dequeue()
+				pair(uint64(i)<<40 | uint64(k))
 			}
 		}
 	})
-	return collect(KindRomulus, cfg, rt, start)
+	return collect(cfg, rt, start)
 }
 
 // collect assembles a Result from a finished run.
-func collect(kind string, cfg Config, rt *proc.Runtime, start time.Time) Result {
+func collect(cfg Config, rt *proc.Runtime, start time.Time) Result {
 	elapsed := time.Since(start)
 	return Result{
-		Kind:    kind,
 		Threads: cfg.Threads,
 		Ops:     uint64(cfg.Threads) * uint64(cfg.Pairs) * 2,
 		Elapsed: elapsed,

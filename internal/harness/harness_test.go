@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 )
 
 // smallCfg keeps unit-test runs quick; the real parameters live in
-// cmd/benchfigs and bench_test.go.
+// cmd/benchfigs.
 func smallCfg() Config {
 	return Config{
 		Threads:    2,
@@ -26,25 +27,75 @@ func smallCfg() Config {
 	}
 }
 
-// TestRegistrySmoke runs every registered kind — current and future
-// families alike — at a tiny config and asserts non-zero throughput
-// and sane stats, catching wiring regressions the moment a family is
-// registered.
-func TestRegistrySmoke(t *testing.T) {
-	benchers := workload.Benchers()
-	if len(benchers) < 16 {
-		t.Fatalf("only %d kinds registered", len(benchers))
+// run measures one registered kind, failing the test on error.
+func run(t *testing.T, kind string, cfg Config) Result {
+	t.Helper()
+	r, err := workload.Run(kind, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, b := range benchers {
-		t.Run(b.Kind, func(t *testing.T) {
-			if b.Family == "" {
-				t.Fatal("kind has no family")
-			}
-			r, err := Run(b.Kind, smallCfg())
+	return r
+}
+
+// runLabel measures the kind or figure point labelled label at
+// cfg.Threads, with the point's parameters laid over cfg's.
+func runLabel(t *testing.T, label string, cfg Config) Result {
+	t.Helper()
+	for _, p := range smokePoints() {
+		if p.Label == label {
+			res, err := workload.Sweep([]workload.Point{p}, []int{cfg.Threads}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Kind != b.Kind {
+			return res[0]
+		}
+	}
+	t.Fatalf("no kind or figure point %q", label)
+	return Result{}
+}
+
+// smokePoints is every registered kind at the run's own parameters,
+// then every figure point whose label is not already listed (the guard
+// test below makes a label mean one point everywhere it appears).
+func smokePoints() []workload.Point {
+	var out []workload.Point
+	seen := map[string]bool{}
+	for _, b := range workload.Benchers() {
+		out = append(out, workload.Point{Label: b.Kind, Kind: b.Kind})
+		seen[b.Kind] = true
+	}
+	figures := workload.Figures()
+	for _, name := range workload.FigureNames() {
+		for _, p := range figures[name] {
+			if !seen[p.Label] {
+				out = append(out, p)
+				seen[p.Label] = true
+			}
+		}
+	}
+	return out
+}
+
+// TestRegistrySmoke runs every registered kind and every figure point —
+// current and future families alike — at a tiny config and asserts
+// non-zero throughput and sane stats, catching wiring regressions the
+// moment a family or a figure point is registered.
+func TestRegistrySmoke(t *testing.T) {
+	points := smokePoints()
+	if len(points) < 40 {
+		t.Fatalf("only %d kinds and figure points registered", len(points))
+	}
+	for _, p := range points {
+		t.Run(p.Label, func(t *testing.T) {
+			if b, _ := workload.LookupBencher(p.Kind); b.Family == "" {
+				t.Fatal("kind has no family")
+			}
+			res, err := workload.Sweep([]workload.Point{p}, []int{2}, smallCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := res[0]
+			if r.Kind != p.Label {
 				t.Fatalf("result kind %q", r.Kind)
 			}
 			if r.Ops != 2*2*300 {
@@ -64,8 +115,45 @@ func TestRegistrySmoke(t *testing.T) {
 }
 
 func TestUnknownKind(t *testing.T) {
-	if _, err := Run("nope", smallCfg()); err == nil {
+	if _, err := workload.Run("nope", smallCfg()); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestRegistryGuard keeps the registry free of kinds no figure
+// measures and of figure points that cannot run: every registered kind
+// is some point's kind, every point's kind is registered, labels are
+// unique within a figure, and a label names the same point in every
+// figure it appears in — a label that is a kind's name being that kind
+// at the run's own parameters.
+func TestRegistryGuard(t *testing.T) {
+	figures := workload.Figures()
+	used := map[string]bool{}
+	byLabel := map[string]workload.Point{}
+	for _, b := range workload.Benchers() {
+		byLabel[b.Kind] = workload.Point{Label: b.Kind, Kind: b.Kind}
+	}
+	for _, name := range workload.FigureNames() {
+		labels := map[string]bool{}
+		for _, p := range figures[name] {
+			if _, ok := workload.LookupBencher(p.Kind); !ok {
+				t.Errorf("figure %s: point %s measures unregistered kind %s", name, p.Label, p.Kind)
+			}
+			used[p.Kind] = true
+			if labels[p.Label] {
+				t.Errorf("figure %s: label %s appears twice", name, p.Label)
+			}
+			labels[p.Label] = true
+			if prev, ok := byLabel[p.Label]; ok && (prev.Kind != p.Kind || !maps.Equal(prev.Params, p.Params)) {
+				t.Errorf("figure %s: label %s means %+v here but %+v elsewhere", name, p.Label, p, prev)
+			}
+			byLabel[p.Label] = p
+		}
+	}
+	for _, b := range workload.Benchers() {
+		if !used[b.Kind] {
+			t.Errorf("kind %s is in no figure", b.Kind)
+		}
 	}
 }
 
@@ -75,12 +163,8 @@ func TestPersistenceCostOrdering(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Threads = 1
 	res := map[string]Result{}
-	for _, k := range AllKinds() {
-		r, err := Run(k, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res[k] = r
+	for _, b := range workload.Benchers() {
+		res[b.Kind] = run(t, b.Kind, cfg)
 	}
 	// The volatile baselines persist nothing; every recoverable kind of
 	// each family pays real persistence work.
@@ -173,10 +257,7 @@ func TestEffectiveFlushCoalescing(t *testing.T) {
 		KindPStackOpt,     //
 		KindLogQueue,      // log append and return-slot batches
 	} {
-		r, err := Run(k, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := run(t, k, cfg)
 		if r.EffFlushesPerOp() >= r.FlushesPerOp() {
 			t.Fatalf("%s: effective %f >= issued %f flushes/op — no coalescing",
 				k, r.EffFlushesPerOp(), r.FlushesPerOp())
@@ -194,10 +275,7 @@ func TestEffectiveFlushCoalescing(t *testing.T) {
 	}
 	// The volatile baselines coalesce nothing because they flush nothing.
 	for _, k := range []string{KindMSQ, KindMapVolatile, KindStackVolatile} {
-		r, err := Run(k, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := run(t, k, cfg)
 		if r.Stats.CoalescedFlushes != 0 || r.Stats.LinesPersisted != 0 {
 			t.Fatalf("%s: phantom persistence work: %+v", k, r.Stats)
 		}
@@ -219,6 +297,8 @@ func TestEffectiveFlushRegression(t *testing.T) {
 			"stack-seed": 1000,
 		},
 	}
+	// Pins are keyed by kind or figure point: the batched kinds at the
+	// batching figure's b64 points.
 	pins := map[string]float64{
 		// Measured post-coalescing values (4.50 and 2.75) plus slack for
 		// benign drift. The stack paid 6.00 before its node write moved
@@ -244,10 +324,7 @@ func TestEffectiveFlushRegression(t *testing.T) {
 		KindMapBatched + "-b64": 1.0,
 	}
 	for k, pin := range pins {
-		r, err := Run(k, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := runLabel(t, k, cfg)
 		if got := r.EffFlushesPerOp(); got > pin {
 			t.Fatalf("%s: effective flushes/op %f exceeds pinned %f", k, got, pin)
 		}
@@ -257,7 +334,7 @@ func TestEffectiveFlushRegression(t *testing.T) {
 func TestSweepAndPrint(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Pairs = 100
-	res, err := workload.Sweep([]string{KindMSQ, KindNormalizedOpt}, []int{1, 2}, cfg)
+	res, err := workload.Sweep(plain(KindMSQ, KindNormalizedOpt), []int{1, 2}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,14 +381,7 @@ func TestMapReadMixShapesCost(t *testing.T) {
 	reads.Params = reads.Params.Set("read-pct", 95)
 	writes := reads
 	writes.Params = reads.Params.Set("read-pct", 0)
-	r, err := Run(KindPmap, reads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := Run(KindPmap, writes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, w := run(t, KindPmap, reads), run(t, KindPmap, writes)
 	if r.FlushesPerOp() >= w.FlushesPerOp() {
 		t.Fatalf("read-heavy %f flushes/op >= write-heavy %f", r.FlushesPerOp(), w.FlushesPerOp())
 	}
@@ -329,14 +399,7 @@ func TestMapReadMixShapesCost(t *testing.T) {
 func TestReadHeavySweepShape(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Threads = 1
-	run := func(kind string) workload.Result {
-		r, err := Run(kind, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	r0, r90, r99 := run("pmap-r0"), run("pmap-r90"), run("pmap-r99")
+	r0, r90, r99 := runLabel(t, "pmap-r0", cfg), runLabel(t, "pmap-r90", cfg), runLabel(t, "pmap-r99", cfg)
 	if !(r99.EffFlushesPerOp() < r90.EffFlushesPerOp() && r90.EffFlushesPerOp() < r0.EffFlushesPerOp()) {
 		t.Fatalf("eff-flushes/op not strictly falling with read pct: r0=%.3f r90=%.3f r99=%.3f",
 			r0.EffFlushesPerOp(), r90.EffFlushesPerOp(), r99.EffFlushesPerOp())
@@ -362,14 +425,11 @@ func TestReadHeavySweepShape(t *testing.T) {
 		t.Fatalf("r99 eff-flushes/op %.3f not <= r0/10 (%.3f)",
 			r99.EffFlushesPerOp(), r0.EffFlushesPerOp()/10)
 	}
-	// The pinned r0 kind must measure the same thing as the plain kind
-	// at read-pct 0 — the fast lane changes nothing on write-only runs.
-	plain := cfg
-	plain.Params = cfg.Params.Set("read-pct", 0)
-	p0, err := Run(KindPmap, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The r0 point must measure the same thing as the plain kind at
+	// read-pct 0 — the fast lane changes nothing on write-only runs.
+	writeOnly := cfg
+	writeOnly.Params = cfg.Params.Set("read-pct", 0)
+	p0 := run(t, KindPmap, writeOnly)
 	if r0.BoundariesPerOp() != p0.BoundariesPerOp() || r0.EffFlushesPerOp() != p0.EffFlushesPerOp() {
 		t.Fatalf("pmap-r0 (%.3f bound/op, %.3f eff-flush/op) != pmap at read-pct 0 (%.3f, %.3f)",
 			r0.BoundariesPerOp(), r0.EffFlushesPerOp(), p0.BoundariesPerOp(), p0.EffFlushesPerOp())
@@ -380,17 +440,17 @@ func TestFamilySweeps(t *testing.T) {
 	// Each non-queue family figure sweeps its volatile baseline against
 	// the recoverable kinds.
 	for _, fig := range []string{"map", "stack"} {
-		kinds, ok := workload.FigureKinds(fig)
+		points, ok := workload.Figures()[fig]
 		if !ok {
 			t.Fatalf("figure %q not registered", fig)
 		}
 		cfg := smallCfg()
 		cfg.Pairs = 100
-		res, err := workload.Sweep(kinds, []int{1, 2}, cfg)
+		res, err := workload.Sweep(points, []int{1, 2}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res) != 2*len(kinds) {
+		if len(res) != 2*len(points) {
 			t.Fatalf("%s: results %d", fig, len(res))
 		}
 		for _, r := range res {
@@ -404,11 +464,7 @@ func TestFamilySweeps(t *testing.T) {
 func TestAttiyaSpaceOption(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Params = cfg.Params.Set("attiya", 1)
-	r, err := Run(KindNormalized, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.MopsPerSec() <= 0 {
+	if r := run(t, KindNormalized, cfg); r.MopsPerSec() <= 0 {
 		t.Fatal("no throughput with Attiya CAS")
 	}
 }
@@ -420,14 +476,29 @@ func TestFiguresDefined(t *testing.T) {
 			t.Fatalf("figure %q not registered", want)
 		}
 	}
-	for fig, kinds := range figures {
-		if len(kinds) < 2 {
-			t.Fatalf("figure %s has %d kinds", fig, len(kinds))
+	for fig, points := range figures {
+		if len(points) < 2 {
+			t.Fatalf("figure %s has %d points", fig, len(points))
 		}
-		for _, k := range kinds {
-			if _, ok := workload.LookupBencher(k); !ok {
-				t.Fatalf("figure %s references unknown kind %s", fig, k)
-			}
+	}
+}
+
+// TestMapShardsAsGiven: the map kinds take map-shards as given — one
+// shard builds one segment — and only pmap-sharded reads it.
+func TestMapShardsAsGiven(t *testing.T) {
+	for _, c := range []struct {
+		kind       string
+		set, shard int
+	}{{KindPmapSharded, 1, 1}, {KindPmapSharded, 4, 4}, {KindPmap, 4, 1}} {
+		cfg := smallCfg()
+		cfg.Params = cfg.Params.Set("map-shards", int64(c.set))
+		if _, got := mapGeom(c.kind, cfg); got != c.shard {
+			t.Errorf("%s at map-shards %d builds %d shards, want %d", c.kind, c.set, got, c.shard)
 		}
+	}
+	one := smallCfg()
+	one.Params = one.Params.Set("map-shards", 1)
+	if r := run(t, KindPmapSharded, one); r.MopsPerSec() <= 0 {
+		t.Fatal("no throughput from a one-shard pmap-sharded run")
 	}
 }

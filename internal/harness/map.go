@@ -43,51 +43,44 @@ func init() {
 			Run:    func(cfg Config) Result { return runMapKind(kind, cfg) },
 		})
 	}
-	workload.RegisterFigure("map", KindMapVolatile, KindPmap, KindPmapSharded)
+	workload.RegisterFigure("map", plain(KindMapVolatile, KindPmap, KindPmapSharded)...)
 
-	// The readheavy figure sweeps the read mix: each kind pins read-pct
-	// to one point of {0, 50, 90, 99}, so one benchfigs invocation
-	// measures the whole Get-fraction curve for both recoverable map
-	// kinds. It is the read-only fast lane's acceptance figure: Get is
+	// The readheavy figure sweeps the read mix: each point pins read-pct
+	// to one of {0, 50, 90, 99}, so one benchfigs invocation measures
+	// the whole Get-fraction curve for both recoverable map kinds. It is
+	// the read-only fast lane's acceptance figure: Get is
 	// persistence-free (zero flushes, fences, CASes and boundaries), so
 	// throughput rises and eff-flushes/op falls monotonically with the
 	// read fraction. The write-only point (r0) improves too — write-op
 	// *probes* ride the same fast lane (volatile wcas key reads, elided
 	// probe boundaries until the first claim) while every durability
 	// point of the write itself is unchanged.
-	readheavy := make([]string, 0, 8)
-	for _, rp := range []int{0, 50, 90, 99} {
-		for _, base := range []string{KindPmap, KindPmapSharded} {
-			kind := fmt.Sprintf("%s-r%d", base, rp)
-			readheavy = append(readheavy, kind)
-			workload.RegisterBencher(workload.Bencher{
+	var readheavy []workload.Point
+	for _, rp := range []int64{0, 50, 90, 99} {
+		for _, kind := range []string{KindPmap, KindPmapSharded} {
+			readheavy = append(readheavy, workload.Point{
+				Label:  fmt.Sprintf("%s-r%d", kind, rp),
 				Kind:   kind,
-				Family: "map",
-				Run: func(cfg Config) Result {
-					cfg.Params = cfg.Params.Set("read-pct", int64(rp))
-					r := runMapKind(base, cfg)
-					r.Kind = kind
-					return r
-				},
+				Params: workload.Params{"read-pct": rp},
 			})
 		}
 	}
 	workload.RegisterFigure("readheavy", readheavy...)
 }
 
-// runMapKind dispatches one of the map kinds.
-func runMapKind(kind string, cfg Config) Result {
-	keys := int(cfg.Param("map-keys"))
-	if keys <= 0 {
-		keys = 1024
-	}
-	shards := 1
+// mapGeom resolves a map kind's key space and segment count, as given:
+// only pmap-sharded reads map-shards.
+func mapGeom(kind string, cfg Config) (keys, shards int) {
+	keys, shards = int(cfg.Param("map-keys")), 1
 	if kind == KindPmapSharded {
 		shards = int(cfg.Param("map-shards"))
-		if shards <= 1 {
-			shards = 4
-		}
 	}
+	return keys, shards
+}
+
+// runMapKind dispatches one of the map kinds.
+func runMapKind(kind string, cfg Config) Result {
+	keys, shards := mapGeom(kind, cfg)
 	buckets := 2 * keys // load factor ½ after pre-fill
 	ops := cfg.Pairs * 2
 	readPct := int(cfg.Param("read-pct"))
@@ -133,7 +126,7 @@ func runMapKind(kind string, cfg Config) Result {
 				}
 			}
 		})
-		return collect(kind, cfg, rt, start)
+		return collect(cfg, rt, start)
 	}
 
 	initial := make(map[uint64]uint64, keys)
@@ -182,5 +175,5 @@ func runMapKind(kind string, cfg Config) Result {
 			}
 		}
 	})
-	return collect(kind, cfg, rt, start)
+	return collect(cfg, rt, start)
 }

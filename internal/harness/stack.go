@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"time"
-
 	"delayfree/internal/capsule"
 	"delayfree/internal/pmem"
 	"delayfree/internal/proc"
@@ -38,10 +36,10 @@ func init() {
 		workload.RegisterBencher(workload.Bencher{Kind: kind, Family: "stack", Run: run})
 	}
 	register(KindStackVolatile, runVolatileStack)
-	register(KindPStack, func(cfg Config) Result { return runPStack(cfg, KindPStack, false) })
-	register(KindPStackOpt, func(cfg Config) Result { return runPStack(cfg, KindPStackOpt, true) })
+	register(KindPStack, func(cfg Config) Result { return runPStack(cfg, false) })
+	register(KindPStackOpt, func(cfg Config) Result { return runPStack(cfg, true) })
 
-	workload.RegisterFigure("stack", KindStackVolatile, KindPStack, KindPStackOpt)
+	workload.RegisterFigure("stack", plain(KindStackVolatile, KindPStack, KindPStackOpt)...)
 }
 
 // stackMem sizes a fast-mode memory and arena for a stack-family run.
@@ -67,21 +65,17 @@ func runVolatileStack(cfg Config) Result {
 	if seed > 0 {
 		s.Seed(setup, 1, seed, func(i uint32) uint64 { return uint64(i) })
 	}
-	start := time.Now()
-	rt.RunToCompletion(func(i int) proc.Program {
-		return func(p *proc.Proc) {
-			lo, hi := arena.Range(i, cfg.Threads, seed)
-			h := s.NewHandle(p.Mem(), lo, hi)
-			for k := 0; k < cfg.Pairs; k++ {
-				h.Push(uint64(i)<<40 | uint64(k))
-				h.Pop()
-			}
+	return runPairs(cfg, rt, func(p *proc.Proc) func(uint64) {
+		lo, hi := arena.Range(p.ID(), cfg.Threads, seed)
+		h := s.NewHandle(p.Mem(), lo, hi)
+		return func(v uint64) {
+			h.Push(v)
+			h.Pop()
 		}
 	})
-	return collect(KindStackVolatile, cfg, rt, start)
 }
 
-func runPStack(cfg Config, kind string, opt bool) Result {
+func runPStack(cfg Config, opt bool) Result {
 	mem, arena, seed := stackMem(cfg)
 	rt := proc.NewRuntime(mem, cfg.Threads)
 	s := pstack.New(pstack.Config{
@@ -103,17 +97,13 @@ func runPStack(cfg Config, kind string, opt bool) Result {
 	for i := 0; i < cfg.Threads; i++ {
 		capsule.InstallIdle(rt.Proc(i).Mem(), bases[i], reg, s.Routine())
 	}
-	start := time.Now()
 	// As with the queues, the benchmark loop itself is not encapsulated
 	// (the paper's methodology); each operation is a recoverable Invoke.
-	rt.RunToCompletion(func(i int) proc.Program {
-		return func(p *proc.Proc) {
-			m := capsule.NewMachine(p, reg, bases[i])
-			for k := 0; k < cfg.Pairs; k++ {
-				m.Invoke(s.Routine(), s.PushEntry(), uint64(i)<<40|uint64(k))
-				m.Invoke(s.Routine(), s.PopEntry())
-			}
+	return runPairs(cfg, rt, func(p *proc.Proc) func(uint64) {
+		m := capsule.NewMachine(p, reg, bases[p.ID()])
+		return func(v uint64) {
+			m.Invoke(s.Routine(), s.PushEntry(), v)
+			m.Invoke(s.Routine(), s.PopEntry())
 		}
 	})
-	return collect(kind, cfg, rt, start)
 }

@@ -3,7 +3,6 @@ package wcas
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"delayfree/internal/pmem"
 	"delayfree/internal/proc"
@@ -151,11 +150,11 @@ func (r *crashRecoverer) handle(rt *proc.Runtime, a *Array, p *proc.Proc) *Handl
 }
 
 // TestConcurrentCrashStress floods a durable array with concurrent
-// writes and CASes while a controller keeps injecting full-system
-// crashes (dropping a random prefix of every dirty cache line). After
-// every crash the recovered value of each object must be a value some
-// process actually issued — never a stale slot's content leaking
-// through a half-persisted Ptr swing.
+// writes and CASes while seeded crash points on process 0 keep turning
+// into full-system crashes (dropping a random prefix of every dirty
+// cache line). After every crash the recovered value of each object
+// must be a value some process actually issued — never a stale slot's
+// content leaking through a half-persisted Ptr swing.
 func TestConcurrentCrashStress(t *testing.T) {
 	const (
 		M, P    = 8, 4
@@ -175,6 +174,9 @@ func TestConcurrentCrashStress(t *testing.T) {
 	rt.SystemCrashMode = true
 	a := New(mem, rt.Proc(0).Mem(), M, P, func(j int) uint64 { return 0 })
 	a.SetDurable(true)
+	// Process 0 crashes after a seeded number of its own steps; under
+	// SystemCrashMode each of its crashes takes every process down.
+	rt.Proc(0).AutoCrash(7, 100, 1000)
 
 	var attMu sync.Mutex
 	attempted := make([]map[uint64]bool, M)
@@ -200,6 +202,9 @@ func TestConcurrentCrashStress(t *testing.T) {
 	progress := make([]int, P) // volatile per-process resume point
 	rt.GoAll(func(i int) proc.Program {
 		return func(p *proc.Proc) {
+			if i == 0 && rt.SystemCrashes() >= uint64(crashes) {
+				p.Disarm() // quota met: the rest of the run is crash-free
+			}
 			var h *Handle
 			if p.Crashed() {
 				h = rec.handle(rt, a, p)
@@ -227,23 +232,7 @@ func TestConcurrentCrashStress(t *testing.T) {
 			}
 		}
 	})
-	done := make(chan struct{})
-	go func() { rt.Wait(); close(done) }()
-	injected := 0
-	for {
-		select {
-		case <-done:
-		default:
-			if injected < crashes {
-				time.Sleep(100 * time.Microsecond)
-				rt.CrashSystem()
-				injected++
-				continue
-			}
-			<-done
-		}
-		break
-	}
+	rt.Wait()
 	if got := rt.SystemCrashes(); got < uint64(crashes) {
 		t.Fatalf("only %d system crashes injected", got)
 	}

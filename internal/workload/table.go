@@ -93,21 +93,25 @@ type JSONFigure struct {
 
 // JSONReport marshals measured figures into the benchfigs -json format:
 // {"figures":[{"figure":"stack","results":[...]}]}. Figures appear in
-// the order given; families are resolved from the registry.
+// the order given; a result's kind field is its point's label, and its
+// family is that of the point's registered kind.
 func JSONReport(figures []string, results map[string][]Result) ([]byte, error) {
 	report := struct {
 		Figures []JSONFigure `json:"figures"`
 	}{Figures: []JSONFigure{}}
+	points := Figures()
 	for _, name := range figures {
+		family := map[string]string{}
+		for _, p := range points[name] {
+			if b, ok := LookupBencher(p.Kind); ok {
+				family[p.Label] = b.Family
+			}
+		}
 		fig := JSONFigure{Figure: name, Results: []JSONResult{}}
 		for _, r := range results[name] {
-			family := ""
-			if b, ok := LookupBencher(r.Kind); ok {
-				family = b.Family
-			}
 			fig.Results = append(fig.Results, JSONResult{
 				Kind:                  r.Kind,
-				Family:                family,
+				Family:                family[r.Kind],
 				Threads:               r.Threads,
 				Ops:                   r.Ops,
 				ElapsedNs:             r.Elapsed.Nanoseconds(),

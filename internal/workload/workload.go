@@ -1,17 +1,19 @@
 // Package workload defines the contracts every workload family in the
 // repository implements, and the self-registration registry through
-// which the three consumers — the benchmark harness (cmd/benchfigs and
-// bench_test.go), the crash-injection validator (cmd/crashstress), and
-// the recovery-latency study — discover them.
+// which the three consumers — the figure runner (cmd/benchfigs), the
+// crash-injection validator (cmd/crashstress), and the recovery-latency
+// study — discover them.
 //
 // The paper's Theorem 7.1 covers *any* normalized lock-free structure;
 // the registry is that theorem's engineering counterpart. A family
 // (queue, map, stack, ...) registers, from its own package init:
 //
-//   - Benchers: named benchmark kinds that build the structure, run one
-//     fixed-work measurement and report throughput plus per-operation
-//     persistence costs (flushes, fences, CASes, capsule boundaries);
-//   - Figures: named groups of kinds compared in one table;
+//   - Benchers: named benchmark kinds, one per runner, that build the
+//     structure, run one fixed-work measurement and report throughput
+//     plus per-operation persistence costs (flushes, fences, CASes,
+//     capsule boundaries);
+//   - Figures: named lists of Points compared in one table, each a
+//     labelled kind at a parameter setting;
 //   - Params: the family's tunables (key-space size, read mix, initial
 //     queue length, ...) as named integer parameters with defaults, so
 //     consumers need no per-family configuration fields or flags;
@@ -95,6 +97,8 @@ func (c Config) Param(name string) int64 {
 
 // Result is one measured benchmark point.
 type Result struct {
+	// Kind names what was measured: the registered kind under Run, the
+	// figure point's label under Sweep.
 	Kind    string
 	Threads int
 	Ops     uint64 // total operations (2 per pair)
@@ -173,8 +177,19 @@ type Bencher struct {
 	Kind string
 	// Family groups kinds ("queue", "map", "stack", ...).
 	Family string
-	// Run builds the structure and measures one fixed-work run.
+	// Run builds the structure and measures one fixed-work run; the
+	// registry fills in the result's Kind.
 	Run func(cfg Config) Result
+}
+
+// Point is one column of a figure: the registered Kind measured with
+// Params laid over the run's parameters, reported under Label. Labels
+// such as "pmap-r90" (pmap at read-pct 90) name parameter settings of a
+// kind rather than kinds of their own.
+type Point struct {
+	Label  string
+	Kind   string
+	Params Params
 }
 
 // StressConfig parametrizes one crash-stress round. Zero values select
@@ -242,7 +257,7 @@ var reg = struct {
 	mu        sync.Mutex
 	benchers  []Bencher
 	byKind    map[string]int
-	figures   map[string][]string
+	figures   map[string][]Point
 	figOrder  []string
 	stressers []Stresser
 	byName    map[string]int
@@ -251,7 +266,7 @@ var reg = struct {
 	probes    []RecoveryProbe
 }{
 	byKind:  map[string]int{},
-	figures: map[string][]string{},
+	figures: map[string][]Point{},
 	byName:  map[string]int{},
 	params:  map[string]Param{},
 }
@@ -275,17 +290,6 @@ func Benchers() []Bencher {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	return append([]Bencher(nil), reg.benchers...)
-}
-
-// Kinds returns every registered kind name in registration order.
-func Kinds() []string {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	out := make([]string, len(reg.benchers))
-	for i, b := range reg.benchers {
-		out[i] = b.Kind
-	}
-	return out
 }
 
 // LookupBencher finds a kind by name.
@@ -321,19 +325,24 @@ func Families() []string {
 	return out
 }
 
-// RegisterFigure names a group of kinds compared in one table. The
-// kinds need not be registered yet (init order across packages is not
-// guaranteed); FigureKinds validates at lookup time.
-func RegisterFigure(name string, kinds ...string) {
-	if name == "" || len(kinds) == 0 {
-		panic("workload: RegisterFigure requires a name and kinds")
+// RegisterFigure names a list of points compared in one table. The
+// points' kinds need not be registered yet (init order across packages
+// is not guaranteed); Run reports an unknown kind when the figure runs.
+func RegisterFigure(name string, points ...Point) {
+	if name == "" || len(points) == 0 {
+		panic("workload: RegisterFigure requires a name and points")
+	}
+	for _, p := range points {
+		if p.Label == "" || p.Kind == "" {
+			panic(fmt.Sprintf("workload: figure %q has a point without label or kind", name))
+		}
 	}
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	if _, dup := reg.figures[name]; dup {
 		panic(fmt.Sprintf("workload: figure %q registered twice", name))
 	}
-	reg.figures[name] = append([]string(nil), kinds...)
+	reg.figures[name] = append([]Point(nil), points...)
 	reg.figOrder = append(reg.figOrder, name)
 }
 
@@ -344,21 +353,13 @@ func FigureNames() []string {
 	return append([]string(nil), reg.figOrder...)
 }
 
-// FigureKinds returns the kinds a figure compares.
-func FigureKinds(name string) ([]string, bool) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	ks, ok := reg.figures[name]
-	return append([]string(nil), ks...), ok
-}
-
 // Figures returns a copy of the full figure table.
-func Figures() map[string][]string {
+func Figures() map[string][]Point {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	out := make(map[string][]string, len(reg.figures))
+	out := make(map[string][]Point, len(reg.figures))
 	for k, v := range reg.figures {
-		out[k] = append([]string(nil), v...)
+		out[k] = append([]Point(nil), v...)
 	}
 	return out
 }
@@ -449,9 +450,11 @@ func RecoveryProbes() []RecoveryProbe {
 func Run(kind string, cfg Config) (Result, error) {
 	b, ok := LookupBencher(kind)
 	if !ok {
-		return Result{}, fmt.Errorf("workload: unknown kind %q (registered: %v)", kind, Kinds())
+		return Result{}, fmt.Errorf("workload: unknown kind %q", kind)
 	}
-	return b.Run(cfg), nil
+	r := b.Run(cfg)
+	r.Kind = kind
+	return r, nil
 }
 
 // RunStress runs one round of the named registered stresser.
@@ -467,48 +470,25 @@ func RunStress(name string, cfg StressConfig) (StressReport, error) {
 	return s.Run(cfg)
 }
 
-// Sweep measures every kind at every thread count.
-func Sweep(kinds []string, threads []int, cfg Config) ([]Result, error) {
+// Sweep measures every point at every thread count, each point's Params
+// laid over cfg.Params, and reports each result under its point's label.
+func Sweep(points []Point, threads []int, cfg Config) ([]Result, error) {
 	var out []Result
-	for _, k := range kinds {
+	for _, p := range points {
+		c := cfg
+		c.Params = cfg.Params.Clone()
+		for k, v := range p.Params {
+			c.Params[k] = v
+		}
 		for _, t := range threads {
-			c := cfg
 			c.Threads = t
-			r, err := Run(k, c)
+			r, err := Run(p.Kind, c)
 			if err != nil {
 				return nil, err
 			}
+			r.Kind = p.Label
 			out = append(out, r)
 		}
 	}
 	return out, nil
-}
-
-// BestOf merges two result sets pointwise by (kind, threads), keeping
-// the higher-throughput measurement of each point. Repeated sweeps
-// folded through it yield a best-of-N table, which is how the recorded
-// BENCH_*.json trajectories suppress scheduler noise on the single-vCPU
-// benchmark host (see cmd/benchfigs -reps).
-func BestOf(a, b []Result) []Result {
-	type key struct {
-		kind    string
-		threads int
-	}
-	idx := make(map[key]int, len(a))
-	out := append([]Result(nil), a...)
-	for i, r := range out {
-		idx[key{r.Kind, r.Threads}] = i
-	}
-	for _, r := range b {
-		k := key{r.Kind, r.Threads}
-		if i, ok := idx[k]; ok {
-			if r.MopsPerSec() > out[i].MopsPerSec() {
-				out[i] = r
-			}
-			continue
-		}
-		idx[k] = len(out)
-		out = append(out, r)
-	}
-	return out
 }

@@ -35,10 +35,17 @@ func init() {
 		RegisterBencher(Bencher{
 			Kind:   kind,
 			Family: "fake",
-			Run:    func(cfg Config) Result { return fakeResult(kind, cfg.Threads) },
+			Run: func(cfg Config) Result {
+				r := fakeResult("", cfg.Threads)
+				r.Stats.Steps = uint64(cfg.Param("fake-size"))
+				return r
+			},
 		})
 	}
-	RegisterFigure("fake", "fake-a", "fake-b")
+	RegisterFigure("fake",
+		Point{Label: "fake-a", Kind: "fake-a"},
+		Point{Label: "fake-b", Kind: "fake-b"},
+		Point{Label: "fake-a-s8", Kind: "fake-a", Params: Params{"fake-size": 8}})
 	RegisterStresser(Stresser{
 		Name:   "fake",
 		Family: "fake",
@@ -53,8 +60,8 @@ func init() {
 }
 
 func TestRegistryLookups(t *testing.T) {
-	if got := Kinds(); len(got) != 2 || got[0] != "fake-a" || got[1] != "fake-b" {
-		t.Fatalf("Kinds() = %v", got)
+	if got := Benchers(); len(got) != 2 || got[0].Kind != "fake-a" || got[1].Kind != "fake-b" {
+		t.Fatalf("Benchers() = %v", got)
 	}
 	if _, ok := LookupBencher("fake-a"); !ok {
 		t.Fatal("fake-a not found")
@@ -65,12 +72,11 @@ func TestRegistryLookups(t *testing.T) {
 	if fams := Families(); len(fams) != 1 || fams[0] != "fake" {
 		t.Fatalf("Families() = %v", fams)
 	}
-	ks, ok := FigureKinds("fake")
-	if !ok || len(ks) != 2 {
-		t.Fatalf("FigureKinds(fake) = %v, %v", ks, ok)
+	if pts := Figures()["fake"]; len(pts) != 3 || pts[2].Kind != "fake-a" {
+		t.Fatalf("Figures()[fake] = %v", pts)
 	}
-	if _, ok := FigureKinds("nope"); ok {
-		t.Fatal("found unregistered figure")
+	if names := FigureNames(); len(names) != 1 || names[0] != "fake" {
+		t.Fatalf("FigureNames() = %v", names)
 	}
 	if s, ok := LookupStresser("fake"); !ok || s.Family != "fake" {
 		t.Fatalf("LookupStresser(fake) = %+v, %v", s, ok)
@@ -116,7 +122,8 @@ func TestDuplicateRegistrationsPanic(t *testing.T) {
 	mustPanic("dup stresser", func() {
 		RegisterStresser(Stresser{Name: "fake", Family: "fake", Run: func(StressConfig) (StressReport, error) { return StressReport{}, nil }})
 	})
-	mustPanic("dup figure", func() { RegisterFigure("fake", "fake-a") })
+	mustPanic("dup figure", func() { RegisterFigure("fake", Point{Label: "fake-a", Kind: "fake-a"}) })
+	mustPanic("unlabelled point", func() { RegisterFigure("fake-2", Point{Kind: "fake-a"}) })
 	mustPanic("conflicting param default", func() {
 		RegisterParams(Param{Name: "fake-size", Default: 65})
 	})
@@ -133,12 +140,30 @@ func TestRunAndSweep(t *testing.T) {
 	if _, err := Run("nope", Config{}); err == nil {
 		t.Fatal("unknown kind did not error")
 	}
-	res, err := Sweep([]string{"fake-a", "fake-b"}, []int{1, 2}, Config{})
+	cfg := Config{Params: Params{"fake-size": 32}}
+	res, err := Sweep(Figures()["fake"], []int{1, 2}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 4 {
+	if len(res) != 6 {
 		t.Fatalf("sweep results: %d", len(res))
+	}
+	// Each result carries its point's label, and a point's Params win
+	// over the run's without leaking into the next point or the caller.
+	for i, want := range []struct {
+		label   string
+		threads int
+		size    uint64
+	}{{"fake-a", 1, 32}, {"fake-a", 2, 32}, {"fake-b", 1, 32}, {"fake-b", 2, 32}, {"fake-a-s8", 1, 8}, {"fake-a-s8", 2, 8}} {
+		if r := res[i]; r.Kind != want.label || r.Threads != want.threads || r.Stats.Steps != want.size {
+			t.Fatalf("result %d = %s@%d size %d, want %+v", i, r.Kind, r.Threads, r.Stats.Steps, want)
+		}
+	}
+	if cfg.Params["fake-size"] != 32 {
+		t.Fatalf("Sweep mutated the caller's params: %v", cfg.Params)
+	}
+	if _, err := Sweep([]Point{{Label: "x", Kind: "nope"}}, []int{1}, Config{}); err == nil {
+		t.Fatal("point of an unknown kind did not error")
 	}
 	var buf bytes.Buffer
 	PrintTable(&buf, "fake", res)
@@ -175,7 +200,9 @@ func TestResultPerOpMath(t *testing.T) {
 }
 
 func TestJSONReport(t *testing.T) {
-	results := map[string][]Result{"fake": {fakeResult("fake-a", 1), fakeResult("fake-b", 2)}}
+	// fake-a-s8 is a label, not a kind: its family comes from its
+	// point's kind.
+	results := map[string][]Result{"fake": {fakeResult("fake-a", 1), fakeResult("fake-b", 2), fakeResult("fake-a-s8", 1)}}
 	out, err := JSONReport([]string{"fake"}, results)
 	if err != nil {
 		t.Fatal(err)
@@ -202,8 +229,11 @@ func TestJSONReport(t *testing.T) {
 		t.Fatalf("figures: %+v", rep.Figures)
 	}
 	rs := rep.Figures[0].Results
-	if len(rs) != 2 || rs[0].Kind != "fake-a" || rs[0].Family != "fake" || rs[0].FlushesPerOp != 2.0 {
+	if len(rs) != 3 || rs[0].Kind != "fake-a" || rs[0].Family != "fake" || rs[0].FlushesPerOp != 2.0 {
 		t.Fatalf("results: %+v", rs)
+	}
+	if rs[2].Kind != "fake-a-s8" || rs[2].Family != "fake" {
+		t.Fatalf("label result: %+v", rs[2])
 	}
 	if rs[0].EffFlushesPerOp != 1.5 || rs[0].CoalescedPerOp != 0.5 || rs[0].LinesPerDrain != 1.5 {
 		t.Fatalf("issued/effective split missing from JSON: %+v", rs[0])
