@@ -126,6 +126,19 @@ func (b *base) Seed(port *pmem.Port, start, n uint32, gen func(i uint32) uint64)
 	port.Fence()
 }
 
+// moved reports whether the anchor cell a (head or tail) no longer holds
+// the word w it was read as: the Michael–Scott check, after reading a
+// link through w, that w's node was still in the queue when its link
+// was read. Without it the node may have been dequeued, freed and
+// re-allocated in between, and the word read is a free-list or fresh
+// link rather than a queue link. Full-word equality is ABA-safe: every
+// successful rcas CAS writes a fresh ⟨pid, seq⟩. With one process
+// nothing moves the anchor between two of its own reads, so the re-read
+// is skipped and a one-process operation costs what it always did.
+func (b *base) moved(p *pmem.Port, a pmem.Addr, w uint64) bool {
+	return b.P > 1 && b.Space.ReadFull(p, a) != w
+}
+
 // alloc allocates and initializes a node with value v, returning its
 // index. The node's link is initialized to null under a fresh alias
 // nonce so no stale expectation can match it. A capsule repetition can
@@ -145,22 +158,33 @@ func (b *base) alloc(c *capsule.Ctx, v uint64) uint32 {
 	return n
 }
 
-// free recycles a dequeued node: packed nodes return to their pool's
-// refcounted recycler (host-side; the dequeue's PersistEpoch already
-// made the removal durable, which is the pool's retire precondition),
-// everything else goes onto the process's free list. Safe to repeat
-// within a capsule (the pool suppresses the replay duplicate, the
-// allocator detects re-push, and the sequence number — hence the link
-// nonce — is deterministic across repetitions). Packed indices must
-// never reach the one-node-per-line free list: reallocating them
-// through the unbatched path would break the packed extent's
-// single-writer line discipline.
-func (b *base) free(c *capsule.Ctx, n uint32) {
+// free recycles a dequeued node n whose link word is nx: packed nodes
+// return to their pool's refcounted recycler (host-side; the dequeue's
+// PersistEpoch already made the removal durable, which is the pool's
+// retire precondition), everything else goes onto the process's free
+// list. Safe to repeat within a capsule (the pool suppresses the replay
+// duplicate, the allocator detects re-push, and the sequence number —
+// hence the link nonce — is deterministic across repetitions). Packed
+// indices must never reach the one-node-per-line free list:
+// reallocating them through the unbatched path would break the packed
+// extent's single-writer line discipline.
+//
+// nx is the evidence of the link CAS that enqueued n's successor. When
+// another process issued it, that process may have crashed before
+// recording its success, and recycling overwrites the link with plain
+// writes. So the link is first handed over by an anonymous CAS that
+// keeps its value and notifies the owner, whose CheckRecovery then
+// finds the success instead of linking its node a second time. A link
+// CAS of our own belongs to an operation that has already completed.
+func (b *base) free(c *capsule.Ctx, n uint32, nx uint64) {
 	pid := c.P().ID()
+	p := c.Mem()
+	if owner := rcas.Pid(nx); owner < b.P && owner != pid {
+		b.Space.CasAnon(p, b.link(n), nx, rcas.Val(nx), b.anonSeq(c), pid)
+	}
 	if b.Arena.Retire(pid, n) {
 		return
 	}
-	p := c.Mem()
 	fh := b.h[pid].pa.FreeHead(p)
 	if fh == n {
 		return

@@ -76,17 +76,24 @@ func (g *General) DeqEntry() int { return gdRead }
 
 // enqReadPhase reads tail and its link and persists the decision:
 // either the link CAS arguments (-> geLink) or the swing arguments
-// (-> geSwing). Pure reads — legal anywhere in a CAS-Read capsule.
+// (-> geSwing). Pure reads — legal anywhere in a CAS-Read capsule. The
+// tail is re-validated after its link is read (see moved).
 func (g *General) enqReadPhase(c *capsule.Ctx) {
 	p := c.Mem()
-	t := g.Space.ReadFull(p, g.tail)
-	nx := g.Space.ReadFull(p, g.link(uint32(rcas.Val(t))))
-	c.SetLocal(geT, t)
-	c.SetLocal(geNx, nx)
-	if rcas.Val(nx) == 0 {
-		c.Boundary(geLink)
-	} else {
-		c.Boundary(geSwing)
+	for {
+		t := g.Space.ReadFull(p, g.tail)
+		nx := g.Space.ReadFull(p, g.link(uint32(rcas.Val(t))))
+		if g.moved(p, g.tail, t) {
+			continue
+		}
+		c.SetLocal(geT, t)
+		c.SetLocal(geNx, nx)
+		if rcas.Val(nx) == 0 {
+			c.Boundary(geLink)
+		} else {
+			c.Boundary(geSwing)
+		}
+		return
 	}
 }
 
@@ -157,30 +164,37 @@ func (g *General) enqAfter(c *capsule.Ctx) {
 }
 
 // deqReadPhase reads head/tail/next and persists the decision: empty
-// (returns immediately), helping swing, or the head CAS arguments.
+// (returns immediately), helping swing, or the head CAS arguments. The
+// head is re-validated after its link is read (see moved).
 func (g *General) deqReadPhase(c *capsule.Ctx) {
 	p := c.Mem()
-	h := g.Space.ReadFull(p, g.head)
-	t := g.Space.ReadFull(p, g.tail)
-	nx := g.Space.ReadFull(p, g.link(uint32(rcas.Val(h))))
-	if rcas.Val(h) == rcas.Val(t) {
-		if rcas.Val(nx) == 0 {
-			// Empty; linearizes at the read of nx. DoneRO elides the
-			// completion only when the capsule was effect-free (see the
-			// normalized variant for the soundness note).
-			c.DoneRO(0, 0)
+	for {
+		h := g.Space.ReadFull(p, g.head)
+		t := g.Space.ReadFull(p, g.tail)
+		nx := g.Space.ReadFull(p, g.link(uint32(rcas.Val(h))))
+		if g.moved(p, g.head, h) {
+			continue
+		}
+		if rcas.Val(h) == rcas.Val(t) {
+			if rcas.Val(nx) == 0 {
+				// Empty; linearizes at the read of nx. DoneRO elides the
+				// completion only when the capsule was effect-free (see the
+				// normalized variant for the soundness note).
+				c.DoneRO(0, 0)
+				return
+			}
+			c.SetLocal(gdT, t)
+			c.SetLocal(gdNx, nx)
+			c.Boundary(gdSwing)
 			return
 		}
-		c.SetLocal(gdT, t)
+		v := p.Read(g.Arena.Val(uint32(rcas.Val(nx))))
+		c.SetLocal(gdH, h)
 		c.SetLocal(gdNx, nx)
-		c.Boundary(gdSwing)
+		c.SetLocal(gdVal, v)
+		c.Boundary(gdCas)
 		return
 	}
-	v := p.Read(g.Arena.Val(uint32(rcas.Val(nx))))
-	c.SetLocal(gdH, h)
-	c.SetLocal(gdNx, nx)
-	c.SetLocal(gdVal, v)
-	c.Boundary(gdCas)
 }
 
 func (g *General) deqRead(c *capsule.Ctx) { g.deqReadPhase(c) }
@@ -208,7 +222,7 @@ func (g *General) deqCas(c *capsule.Ctx) {
 		if g.Durable {
 			g.persist(p, g.head)
 		}
-		g.free(c, uint32(rcas.Val(h)))
+		g.free(c, uint32(rcas.Val(h)), nx)
 		c.Done(1, c.Local(gdVal))
 		return
 	}

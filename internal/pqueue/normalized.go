@@ -76,13 +76,18 @@ func (n *Normalized) DeqEntry() int { return npDeqGen }
 // enqGenerate is the enqueue CAS generator: it helps swing the tail
 // (anonymous CASes — parallelizable, safe to repeat any number of
 // times) until it observes a clean tail, then persists the link-CAS
-// descriptor.
+// descriptor. The tail is re-validated after its link is read (see
+// moved): a recycled tail node's fresh null link would otherwise let
+// the executor's CAS link our node to a node no longer in the queue.
 func (n *Normalized) enqGenerate(c *capsule.Ctx) {
 	p := c.Mem()
 	pid := c.P().ID()
 	for {
 		t := n.Space.ReadFull(p, n.tail)
 		nx := n.Space.ReadFull(p, n.link(uint32(rcas.Val(t))))
+		if n.moved(p, n.tail, t) {
+			continue
+		}
 		if rcas.Val(nx) != 0 {
 			if n.Durable {
 				p.Flush(n.link(uint32(rcas.Val(t))))
@@ -125,9 +130,10 @@ func (n *Normalized) enqExec(c *capsule.Ctx) {
 			p.Flush(link)
 			n.maybeFence(p)
 		}
-		tNow := n.Space.ReadFull(p, n.tail)
-		if rcas.Val(tNow) == rcas.Val(t) {
-			n.Space.CasAnon(p, n.tail, tNow, c.Local(neN), n.anonSeq(c), pid)
+		// Full-word compare: a tail that left t and came back to a
+		// recycled t must not be swung to our node.
+		if n.Space.ReadFull(p, n.tail) == t {
+			n.Space.CasAnon(p, n.tail, t, c.Local(neN), n.anonSeq(c), pid)
 		}
 		if n.Durable {
 			n.persist(p, n.tail)
@@ -141,7 +147,9 @@ func (n *Normalized) enqExec(c *capsule.Ctx) {
 // deqGenerate is the dequeue CAS generator: help swing, detect empty
 // (returning immediately — an empty result needs no CAS), or persist
 // the head-advance descriptor together with the value read before the
-// CAS (which is what makes the result recoverable).
+// CAS (which is what makes the result recoverable). The head is
+// re-validated after its link is read (see moved): a recycled head
+// node's link would otherwise be taken for the queue's.
 func (n *Normalized) deqGenerate(c *capsule.Ctx) {
 	p := c.Mem()
 	pid := c.P().ID()
@@ -149,6 +157,9 @@ func (n *Normalized) deqGenerate(c *capsule.Ctx) {
 		h := n.Space.ReadFull(p, n.head)
 		t := n.Space.ReadFull(p, n.tail)
 		nx := n.Space.ReadFull(p, n.link(uint32(rcas.Val(h))))
+		if n.moved(p, n.head, h) {
+			continue
+		}
 		if rcas.Val(h) == rcas.Val(t) {
 			if rcas.Val(nx) == 0 {
 				// Empty result: linearizes at the read of nx and needs no
@@ -201,7 +212,7 @@ func (n *Normalized) deqExec(c *capsule.Ctx) {
 		if n.Durable {
 			n.persist(p, n.head)
 		}
-		n.free(c, uint32(rcas.Val(h)))
+		n.free(c, uint32(rcas.Val(h)), c.Local(ndNx))
 		c.Done(1, c.Local(ndVal))
 		return
 	}

@@ -44,7 +44,9 @@ func recVal(b uint64, j int) uint64 { return recTag | b<<8 | uint64(j) }
 
 // Pusher locals: 1 = batches claimed (durable, claim-before-push),
 // 2 = batches abandoned to crashes. Popper locals: 1 = pop index,
-// 2 = consecutive empty pops, 3/4 = pop results.
+// 2 = set by an empty pop invoked after the pusher finished (the stack
+// is drained), 3/4 = pop results, 5 = whether the pusher had finished
+// when the current pop was invoked.
 func runRecycleStress(t *testing.T, shared bool) {
 	P := recPoppers // the pusher is process P, recorded like the poppers
 	quota := 60
@@ -81,7 +83,9 @@ func runRecycleStress(t *testing.T, shared bool) {
 			push := BatchPusher(s, npool)
 
 			var pusherDone atomic.Bool
-			var popped atomic.Uint64 // approximate (replay may double-count): throttling only
+			// Approximate (replay may double-count popped; pushed leaves
+			// out crashed batches): pacing only.
+			var pushed, popped atomic.Uint64
 			vals := make([]uint64, recBatch)
 			pushDrv := r.Reg.Register("recycle-pusher", false,
 				func(c *capsule.Ctx) { // pc0: claim the next batch durably
@@ -123,6 +127,7 @@ func runRecycleStress(t *testing.T, shared bool) {
 						// Recorded after the batch's PersistEpoch: durable.
 						rec.Return(pid, history.OpPush, b*recBatch+uint64(j), true, 0, c.Mem().Stats)
 					}
+					pushed.Add(recBatch)
 					c.Boundary(0)
 				},
 			)
@@ -132,6 +137,23 @@ func runRecycleStress(t *testing.T, shared bool) {
 						c.Finish()
 						return
 					}
+					// Yield while nothing pushed is left to pop. Popping an
+					// empty stack instead fills the recorder with empty pops
+					// whenever the pusher is descheduled. The wait still
+					// steps, so crashes (and full-system crashes) reach it.
+					// The pusher holds only while more than recHighWater
+					// claimed nodes are unpopped, so both wait only after 24
+					// batches were abandoned, and then the crashes of the
+					// pusher while holding end the quota.
+					for !pusherDone.Load() && pushed.Load() <= popped.Load() {
+						c.P().Step()
+						runtime.Gosched()
+					}
+					done := uint64(0)
+					if pusherDone.Load() {
+						done = 1
+					}
+					c.SetLocal(5, done)
 					rec.Invoke(c.P().ID(), history.OpPop, c.Local(1), 0, 0, c.Mem().Stats)
 					c.Call(s.Routine(), s.PopEntry(), 1, nil, []int{3, 4})
 				},
@@ -143,7 +165,9 @@ func runRecycleStress(t *testing.T, shared bool) {
 						popped.Add(1)
 						c.SetLocal(2, 0)
 					} else {
-						c.SetLocal(2, c.Local(2)+1)
+						// Only an empty pop that began after the last push
+						// shows the stack drained.
+						c.SetLocal(2, c.Local(5))
 					}
 					c.SetLocal(1, i+1)
 					c.Boundary(0)
