@@ -8,11 +8,10 @@ build:
 test:
 	go build ./... && go test ./...
 
-# lint runs the persistence-discipline analyzers (internal/lint) through
-# the go vet driver, then fails on any file gofmt would rewrite.
+# lint runs the persistence-discipline analyzers (internal/lint) over
+# every package, then fails on any file gofmt would rewrite.
 lint:
-	go build -o /tmp/persistlint ./cmd/persistlint
-	go vet -vettool=/tmp/persistlint ./...
+	go run ./cmd/persistlint ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 race:

@@ -88,8 +88,6 @@ func main() {
 			}
 			fmt.Printf("%-10s %v\n", name, labels)
 		}
-		fmt.Printf("history-audited families (crashstress -audit order): %v\n",
-			workload.AuditedFamilies())
 		return
 	}
 

@@ -1,204 +1,44 @@
 // Command persistlint runs the internal/lint persistence-discipline
-// analyzers. It speaks two protocols:
+// analyzers over module packages, loading them itself through
+// `go list -export`:
 //
-// As a vettool, driven by the go command:
+//	go run ./cmd/persistlint ./...
 //
-//	go build -o /tmp/persistlint ./cmd/persistlint
-//	go vet -vettool=/tmp/persistlint ./...
-//
-// The go command probes the tool with -V=full and -flags, then invokes
-// it once per package with a JSON config file argument carrying the
-// file list, import map and export-data locations — the unitchecker
-// protocol. Type information for dependencies comes from the compiler's
-// export data, so the tool needs no network and no module downloads.
-//
-// Standalone, loading packages itself through `go list -export`:
-//
-//	persistlint ./...
-//
-// Both modes print findings as file:line:col: message (analyzer) and
-// exit 2 when any survive //lint:ignore suppression, mirroring go vet.
+// It prints findings as file:line:col: message (analyzer) and exits 2
+// when any survive //lint:ignore suppression, mirroring go vet.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"delayfree/internal/lint"
 )
 
 func main() {
-	// The go command's vettool handshake: `-V=full` must print a line the
-	// toolchain can use as a build ID; content-hash the binary so the vet
-	// cache invalidates when the analyzers change.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		fmt.Printf("%s version devel comments-go-here buildID=%x\n", progName(), selfHash())
-		return
-	}
-	// `-flags` asks which flags the tool accepts; none beyond the protocol.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: persistlint [package pattern ...]   (standalone)\n")
-		fmt.Fprintf(os.Stderr, "       go vet -vettool=$(which persistlint) ./...\n")
+		fmt.Fprintf(os.Stderr, "usage: persistlint [package pattern ...]\n")
 	}
 	flag.Parse()
-	args := flag.Args()
-
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0]))
-	}
-	os.Exit(runStandalone(args))
-}
-
-func progName() string {
-	return filepath.Base(os.Args[0])
-}
-
-// selfHash content-hashes this binary for the vet cache key.
-func selfHash() []byte {
-	f, err := os.Open(os.Args[0])
-	if err != nil {
-		return []byte("unknown")
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return []byte("unknown")
-	}
-	return h.Sum(nil)[:16]
-}
-
-// vetConfig is the unitchecker protocol's per-package config, written
-// by the go command.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runVetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "persistlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-
-	// The go command requires the facts file regardless of findings; the
-	// suite propagates no cross-package facts, so it is always empty.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		// Test files deliberately violate the disciplines (checked-mode
-		// violation tests, raw-port crash fixtures); the suite governs
-		// production code only.
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return 0
-	}
-
-	imp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		ex, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(ex)
-	})
-	pkg, err := lint.Check(fset, cfg.ImportPath, files, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "persistlint: %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	return report(lintPackage(pkg))
-}
-
-func runStandalone(patterns []string) int {
-	pkgs, err := lint.LoadModule(".", patterns...)
+	pkgs, err := lint.LoadModule(".", flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "persistlint: %v\n", err)
-		return 1
+		os.Exit(1)
 	}
 	exit := 0
 	for _, pkg := range pkgs {
-		if code := report(lintPackage(pkg)); code > exit {
-			exit = code
+		diags, err := lint.RunAnalyzers(pkg, lint.All())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "persistlint: %v\n", err)
+			os.Exit(1)
+		}
+		for _, d := range diags {
+			fmt.Fprintln(os.Stderr, d.String())
+		}
+		if len(diags) > 0 {
+			exit = 2
 		}
 	}
-	return exit
-}
-
-func lintPackage(pkg *lint.Package) ([]lint.Diagnostic, error) {
-	return lint.RunAnalyzers(pkg, lint.All())
-}
-
-func report(diags []lint.Diagnostic, err error) int {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "persistlint: %v\n", err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d.String())
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
+	os.Exit(exit)
 }

@@ -10,10 +10,10 @@
 // encapsulated drivers while randomized step-count crash injection
 // keeps destroying them — independent process crashes in the private
 // model, whole-system crashes (dropping unflushed cache lines) in the
-// shared-cache model. The driver's exactness check requires that the
-// queue drains empty and the persisted sum of dequeued values equals
-// the sum of enqueued values — no operation lost, none duplicated,
-// across every crash.
+// shared-cache model. The pair round's exactness check requires that
+// the queue drains empty, that no dequeue found it empty, and that the
+// persisted sum of dequeued values equals the sum of enqueued values —
+// no operation lost, none duplicated, across every crash.
 package main
 
 import (
@@ -34,9 +34,9 @@ func main() {
 			Ops:    200, // enqueue-dequeue pairs per process
 			Seed:   42,
 			Shared: shared,
-			// Crash every few thousand instrumented steps: frequent
-			// enough that every round absorbs dozens of crashes, sparse
-			// enough that the example finishes in seconds.
+			// The pairs loop until the round's crash quota (250 crash
+			// events) is met; a crash every few thousand instrumented
+			// steps keeps the example to seconds.
 			MinGap: 2000,
 			MaxGap: 8000,
 		})

@@ -43,8 +43,6 @@ func init() {
 			Help: "batched kinds: max operations per combiner batch"},
 		workload.Param{Name: "ingress-shards", Default: 1,
 			Help: "batched kinds: MPSC ring/combiner shards"},
-		workload.Param{Name: "batch-window", Default: 2048,
-			Help: "pmap-batched: deferred Ptr swings per group-commit close fence"},
 	)
 	workload.RegisterBencher(workload.Bencher{Kind: KindQueueBatched, Family: "queue", Run: runQueueBatched})
 	workload.RegisterBencher(workload.Bencher{Kind: KindStackBatched, Family: "stack", Run: runStackBatched})
@@ -205,8 +203,11 @@ func runMapBatched(cfg Config) Result {
 	buckets := 2 * keys
 	readPct := int(cfg.Param("read-pct"))
 	ops := cfg.Pairs * 2
-
-	window := int(cfg.Param("batch-window"))
+	// The group-commit window is pmap.DefaultBatchWindow: at 2048 swings
+	// per close fence the batching figure measured pmap-batched-b64 at 4
+	// threads at 0.508 eff-flush/op, against 2.016 before the tier
+	// (BENCH_7.json, BENCH_7_before.json). No figure point varies it.
+	window := pmap.DefaultBatchWindow
 
 	words := pmap.BatchWords(buckets, 1, P, shards, 0, window) +
 		uint64(P)*capsule.ProcWords + uint64(keys)*4 + 1<<16

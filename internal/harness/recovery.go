@@ -51,43 +51,46 @@ func logQueueRecoverySteps(n uint32) uint64 {
 }
 
 // capsuleRecoverySteps seeds a Normalized transformed queue with n
-// nodes, crashes a process mid-operation, and counts the memory
-// operations of the capsule reload plus the recoverable-CAS recovery on
-// the first re-executed capsule — everything the process needs before
-// it can continue.
+// nodes, crashes a process mid-operation of the queue's pair round
+// (workload.PairStress), and counts the memory operations of the
+// capsule reload plus the recoverable-CAS recovery on the first
+// re-executed capsule — everything the process needs before it can
+// continue.
 func capsuleRecoverySteps(n uint32) uint64 {
-	mem := pmem.New(pmem.Config{
-		Words:   uint64(n+4096)*pmem.WordsPerLine*2 + capsule.ProcWords + 1<<14,
+	var q *pqueue.Normalized
+	var space *rcas.Space
+	spec := workload.PairStress("recovery-probe", "queue", true,
+		func(r *workload.Round, _ *qnode.Arena) (capsule.RoutineID, int, capsule.RoutineID, int, func() []uint64) {
+			space = rcas.NewSpace(r.Mem, 1)
+			q = pqueue.NewNormalized(pqueue.Config{Mem: r.Mem, Space: space, Arena: qnode.NewArena(r.Mem, n+1024), P: 1})
+			q.Register(r.Reg)
+			setup := r.RT.Proc(0).Mem()
+			q.Init(setup, pqueue.DummyNode+n)
+			if n > 0 {
+				q.Seed(setup, pqueue.DummyNode+1, n, func(i uint32) uint64 { return uint64(i) })
+			}
+			return q.EnqRoutine(), q.EnqEntry(), q.DeqRoutine(), q.DeqEntry(), func() []uint64 { return q.Drain(setup) }
+		})
+	r := &workload.Round{StressConfig: workload.StressConfig{Procs: 1, Ops: 4}, N: 1, Reg: capsule.NewRegistry()}
+	r.Mem = pmem.New(pmem.Config{
+		Words:   spec.Words(r) + uint64(n+1024)*pmem.WordsPerLine + capsule.ProcWords,
 		Mode:    pmem.Private,
 		Checked: true,
 	})
-	rt := proc.NewRuntime(mem, 1)
-	arena := qnode.NewArena(mem, n+1024)
-	space := rcas.NewSpace(mem, 1)
-	q := pqueue.NewNormalized(pqueue.Config{Mem: mem, Space: space, Arena: arena, P: 1})
-	reg := capsule.NewRegistry()
-	q.Register(reg)
-	bases := capsule.AllocProcAreas(mem, 1)
-	setup := rt.Proc(0).Mem()
-	q.Init(setup, pqueue.DummyNode+n)
-	if n > 0 {
-		q.Seed(setup, pqueue.DummyNode+1, n, func(i uint32) uint64 { return uint64(i) })
-	}
-	drv := pqueue.RegisterPairsDriver(reg, q)
-	pqueue.InstallDriver(rt, reg, drv, bases, 4)
+	r.RT = proc.NewRuntime(r.Mem, 1)
+	spec.Build(r)
 	// Crash mid-run, then measure the steps from restart until the
 	// machine has executed its first post-crash capsule.
-	rt.Proc(0).ArmCrashAfter(120)
+	r.RT.Proc(0).ArmCrashAfter(120)
 	var recoverySteps uint64
 	measured := false
-	rt.RunToCompletion(func(i int) proc.Program {
+	r.RT.RunToCompletion(func(i int) proc.Program {
 		return func(p *proc.Proc) {
 			port := p.Mem()
 			if p.PeekCrashed() && !measured {
 				measured = true
 				before := port.Stats.Steps
-				m := capsule.NewMachine(p, reg, bases[i])
-				m.LoadState() // the reload a restart performs
+				r.Machine(i).LoadState() // the reload a restart performs
 				recoverySteps = port.Stats.Steps - before
 				// Add the recoverable-CAS recovery the first capsule
 				// would run (constant for Algorithm 1).
@@ -95,7 +98,7 @@ func capsuleRecoverySteps(n uint32) uint64 {
 				space.CheckRecovery(port, q.HeadAddr(), 1, 0)
 				recoverySteps += port.Stats.Steps - before
 			}
-			capsule.NewMachine(p, reg, bases[i]).Run()
+			r.Machine(i).Run()
 		}
 	})
 	return recoverySteps

@@ -326,7 +326,8 @@ type Chain struct {
 // arena), the op code producers publish under, and the residue
 // direction: each producer's surviving values must appear in strictly
 // increasing attempt order when fifo (one ring is FIFO per producer),
-// strictly decreasing otherwise (a top-first stack drain).
+// strictly decreasing otherwise (a top-first stack drain). fifo also
+// picks the history checker: CheckQueueFIFO, or CheckStackLIFO.
 //
 // The rounds retire nothing, and the quota keeps producers publishing
 // until enough crashes land, so the combiner's packed pool must absorb
@@ -343,7 +344,11 @@ func ChainStress(name, family string, op uint8, hop history.Op, fifo bool,
 		totalNodes := uint64(r.Procs)*uint64(r.Ops) + uint64(r.Crashes)*perWave
 		return uint32(totalNodes/segNodes) + 4
 	}
-	return BatchedStress{
+	checker := history.CheckStackLIFO
+	if fifo {
+		checker = history.CheckQueueFIFO
+	}
+	spec := BatchedStress{
 		Name:    name,
 		Family:  family,
 		Crashes: 150,
@@ -368,6 +373,8 @@ func ChainStress(name, family string, op uint8, hop history.Op, fifo bool,
 			}
 		},
 	}.Spec()
+	spec.Checker = checker
+	return spec
 }
 
 // checkChainResidue: no duplicate and no alien value, per-producer

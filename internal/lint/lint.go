@@ -15,9 +15,9 @@
 // The framework mirrors the golang.org/x/tools/go/analysis surface
 // (Analyzer, Pass, Reportf, analysistest-style golden tests) but is
 // built entirely on the standard library's go/ast and go/types, because
-// the build environment vendors no third-party modules. Analyzers are
-// run either standalone over a module (see LoadModule) or under
-// `go vet -vettool=` through cmd/persistlint's unitchecker protocol.
+// the build environment vendors no third-party modules. Analyzers run
+// over a module's packages loaded through `go list -export` (see
+// LoadModule), by cmd/persistlint and the in-repo self-check test.
 //
 // # Directive vocabulary
 //
@@ -53,7 +53,7 @@
 // tree can carry no unjustified ignores.
 //
 // Directives are package-local: the suite propagates no cross-package
-// facts (the vettool protocol analyzes one package at a time), so
+// facts (each package is analyzed on its own), so
 // cross-package disciplines — which pmem.Port methods persist, which
 // rcas/wcas/qnode calls are effectful — are encoded in the analyzers'
 // builtin tables instead of annotations.

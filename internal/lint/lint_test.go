@@ -52,7 +52,7 @@ func TestAnalyzersHaveFixtures(t *testing.T) {
 		t.Fatalf("reading cmd/persistlint: %v", err)
 	}
 	if !strings.Contains(string(main), "lint.All()") {
-		t.Error("cmd/persistlint does not register the suite via lint.All(): analyzers added to All() would not run under go vet")
+		t.Error("cmd/persistlint does not register the suite via lint.All(): analyzers added to All() would not run under make lint")
 	}
 }
 
@@ -102,7 +102,7 @@ func TestIgnoreHygiene(t *testing.T) {
 // TestPersistlintCleanOverTree is the self-check: the suite runs over
 // this repository's own module and must come back clean — every real
 // finding is either fixed or carries a justified ignore. This is the
-// same bar CI holds via `go vet -vettool=`.
+// same bar CI holds via `make lint`.
 func TestPersistlintCleanOverTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes go list -export over the whole module")

@@ -21,9 +21,7 @@ import (
 // dependency resolution: `go list -export -deps` supplies compiled
 // export data for every dependency (standard library included), and
 // only the matched packages themselves are parsed from source. This is
-// the standalone driver behind `persistlint ./...` and the in-repo
-// self-check test; under `go vet -vettool=` the go command supplies the
-// same information through the vet config instead.
+// the loader behind `persistlint ./...` and the in-repo self-check test.
 //
 // Test files are not loaded: the suite's disciplines govern the
 // production persistence protocols, and test code deliberately violates
@@ -169,14 +167,6 @@ func (l *gopathLoader) load(path string) (*Package, error) {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// Check type-checks already-parsed files as package path and returns
-// the analysis Package. cmd/persistlint's vettool mode uses it with the
-// gc importer over the go command's export-data map; the loaders above
-// use it internally.
-func Check(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*Package, error) {
-	return check(fset, path, files, imp)
-}
 
 // check type-checks files as package path with full type information.
 func check(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*Package, error) {

@@ -20,7 +20,7 @@ import (
 // catches the class at vet time, the PR 5 checked-mode panic).
 //
 // Knowledge of which cross-package calls persist is a builtin table
-// (the vettool protocol analyzes one package at a time, so directives
+// (each package is analyzed on its own, so directives
 // cannot travel across packages); the table names the repository's
 // effectful surfaces explicitly rather than guessing from signatures.
 var RoPurity = &Analyzer{

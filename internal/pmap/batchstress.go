@@ -43,7 +43,7 @@ func batchedKey(pid int, attempt uint64) uint64 {
 }
 
 func init() {
-	workload.RegisterStressSpec(ingress.BatchedStress{
+	spec := ingress.BatchedStress{
 		Name:   "pmap-batched",
 		Family: "map",
 		// 250 per model: the CI smoke runs both failure models, so one
@@ -127,5 +127,7 @@ func init() {
 				},
 			}
 		},
-	}.Spec())
+	}.Spec()
+	spec.Checker = history.CheckMapLWW
+	workload.RegisterStressSpec(spec)
 }

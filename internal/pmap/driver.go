@@ -172,6 +172,7 @@ func stressSpec(name string, g stressGeom) workload.StressSpec {
 	return workload.StressSpec{
 		Name:    name,
 		Family:  "map",
+		Checker: history.CheckMapLWW,
 		Ops:     300,
 		Crashes: 250,
 		Gang:    true,
@@ -252,8 +253,4 @@ func init() {
 	// wcas reads) absorbs the bulk of the injected crashes.
 	workload.RegisterStressSpec(stressSpec("pmap", stressGeom{shards: 2, buckets: 256, readPct: 25}))
 	workload.RegisterStressSpec(stressSpec("pmap-readheavy", stressGeom{shards: 2, buckets: 256, readPct: 90}))
-	workload.RegisterHistoryChecker(workload.HistoryChecker{
-		Family: "map",
-		Check:  history.CheckMapLWW,
-	})
 }

@@ -79,10 +79,6 @@ type Config struct {
 	// ingress routing (RouteKey) and segment selection (locate) hash
 	// different bits — any combiner may write any segment.
 	BatchCombiners int
-	// BatchExtentLines overrides the per-combiner extent claim, in
-	// cache lines per segment. 0 picks a default sized for the whole
-	// per-segment value working set plus a full deferral window.
-	BatchExtentLines int
 	// BatchWindow caps the swings a combiner defers before its window
 	// auto-closes (flush+fence of the swung Ptr words). 0 picks
 	// DefaultBatchWindow.
@@ -185,10 +181,7 @@ func New(cfg Config) *Map {
 		if m.batchWindow == 0 {
 			m.batchWindow = DefaultBatchWindow
 		}
-		m.batchLines = cfg.BatchExtentLines
-		if m.batchLines == 0 {
-			m.batchLines = batchExtentLines(int(bps), m.batchWindow)
-		}
+		m.batchLines = batchExtentLines(int(bps), m.batchWindow)
 	}
 	return m
 }
@@ -220,8 +213,9 @@ func Words(buckets, shards, P int) uint64 {
 }
 
 // BatchWords is Words for a map built with the group-commit tier:
-// combiners/extentLines/window mirror Config.BatchCombiners/
-// BatchExtentLines/BatchWindow (zeros pick the same defaults).
+// combiners/window mirror Config.BatchCombiners/BatchWindow, and
+// extentLines overrides the extent claim New sizes (zeros pick the same
+// defaults as New).
 func BatchWords(buckets, shards, P, combiners, extentLines, window int) uint64 {
 	if shards < 1 {
 		shards = 1

@@ -107,32 +107,39 @@ func (b *base) batchEnqueue(c *capsule.Ctx, pool *qnode.PackedPool, vals []uint6
 	// the window between here and the CAS leaks at most this batch.
 	pool.Commit()
 
-	// 2. Link the chain: walk from the tail hint to the true last node
-	// and CAS the chain in. The CAS drains the pending epoch first, so
-	// the chain is durable before it becomes reachable.
-	t := p.Read(b.tail)
-	cur := uint32(rcas.Val(t))
+	// 2. Link the chain with the generators' Michael–Scott step: read
+	// the tail and its link, retry if the tail moved in between (see
+	// moved), help a lagging tail forward by one link, or CAS the chain
+	// onto the tail's null link. The CAS drains the pending epoch first,
+	// so the chain is durable before it becomes reachable.
+	var t uint64
 	var linkAddr pmem.Addr
 	for {
-		linkAddr = b.link(cur)
-		nx := p.Read(linkAddr)
+		t = b.Space.ReadFull(p, b.tail)
+		linkAddr = b.link(uint32(rcas.Val(t)))
+		nx := b.Space.ReadFull(p, linkAddr)
+		if b.moved(p, b.tail, t) {
+			continue
+		}
 		if rcas.Val(nx) != 0 {
-			cur = uint32(rcas.Val(nx))
+			if b.Durable {
+				p.Flush(linkAddr)
+				b.maybeFence(p)
+			}
+			b.Space.CasAnon(p, b.tail, t, rcas.Val(nx), b.anonSeq(c), pid)
 			continue
 		}
 		if b.Space.CasAnon(p, linkAddr, nx, uint64(first), b.anonSeq(c), pid) {
 			break
 		}
-		// Another shard's combiner linked here first; keep walking.
 	}
 
-	// 3. Publish the link and swing the tail. The swing CAS drains the
-	// link's flush — the tail never points at an unflushed link — and a
-	// lost swing (another combiner moved it further) is a tolerated lag
-	// the next batch's walk absorbs.
+	// 3. Publish the link and swing the tail from the validated t. The
+	// swing CAS drains the link's flush — the tail never points at an
+	// unflushed link — and a lost swing means another combiner or
+	// dequeuer already moved the tail past t, so it is never moved back.
 	p.Flush(linkAddr)
-	t2 := p.Read(b.tail)
-	b.Space.CasAnon(p, b.tail, t2, uint64(last), b.anonSeq(c), pid)
+	b.Space.CasAnon(p, b.tail, t, uint64(last), b.anonSeq(c), pid)
 
 	// 4. The batch's durability point: one fence closes the epoch.
 	p.PersistEpoch(b.tail)

@@ -27,9 +27,7 @@ package pqueue
 
 import (
 	"delayfree/internal/capsule"
-	"delayfree/internal/history"
 	"delayfree/internal/pmem"
-	"delayfree/internal/proc"
 	"delayfree/internal/qnode"
 	"delayfree/internal/rcas"
 )
@@ -203,6 +201,23 @@ func (b *base) anonSeq(c *capsule.Ctx) uint64 {
 	return (c.Seq()*64 + h.anonCtr&63) & rcas.MaxSeq
 }
 
+// flushDequeue schedules, under manual durability, the write-backs a
+// dequeue's head CAS must not outrun: the link it steps over (Friedman
+// et al.) and, with more than one process, the tail. Another process's
+// enqueue may have swung the tail onto the very node this dequeue
+// removes and not yet persisted the swing; a crash would then leave the
+// durable tail behind the durable head, on a node the dequeue has since
+// freed. With one process the enqueue persisted its swing before the
+// dequeue began.
+func (b *base) flushDequeue(p *pmem.Port, h uint64) {
+	if b.P > 1 {
+		p.FlushAddrs(b.link(uint32(rcas.Val(h))), b.tail)
+	} else {
+		p.Flush(b.link(uint32(rcas.Val(h))))
+	}
+	b.maybeFence(p)
+}
+
 // maybeFence issues a fence unless the Opt configuration elides fences
 // that are immediately followed by a CAS (Section 10; the locked
 // instruction orders the preceding flush).
@@ -279,126 +294,4 @@ type Queue interface {
 	Seed(port *pmem.Port, start, n uint32, gen func(i uint32) uint64)
 	Len(port *pmem.Port) int
 	Drain(port *pmem.Port) []uint64
-}
-
-// Driver slots for RegisterPairsDriver.
-const (
-	drvRemaining = 1
-	drvCounter   = 2
-	drvDeqOK     = 3
-	drvDeqVal    = 4
-	drvSink      = 5
-)
-
-// RegisterPairsDriver registers a depth-0 routine that runs the paper's
-// benchmark workload: `remaining` enqueue-dequeue pairs, with unique
-// values pid<<40|counter. Install it with args = (pairs). The returned
-// id is the routine to install.
-func RegisterPairsDriver(reg *capsule.Registry, q Queue) capsule.RoutineID {
-	return registerPairsDriver(reg, q, 0, nil, nil)
-}
-
-// registerPairsDriver is RegisterPairsDriver with the crash-stress
-// repetition hook: when a batch of pairs completes and keepGoing still
-// reports true, the driver starts another batch of `pairs` pairs (the
-// value counter keeps increasing, so values stay unique) — crash-stress
-// rounds use this to keep the workload alive until the crash quota is
-// met. keepGoing may be read at different times by a repeated dispatch
-// capsule; that is safe because the exactness check depends only on the
-// *persisted* counter, never on when the driver decided to stop.
-//
-// With rec non-nil every operation is announced and its completion
-// recorded, keyed by the pair counter (so enqueue k and the dequeue of
-// the same pair share ID k). A capsule repetition re-records the same
-// (op, id); the history merge collapses the repeats into one
-// conservative interval.
-func registerPairsDriver(reg *capsule.Registry, q Queue, pairs uint64, keepGoing func() bool, rec *history.Recorder) capsule.RoutineID {
-	return reg.Register("pairs-driver", false,
-		func(c *capsule.Ctx) { // pc0: enqueue, refill the batch, or finish
-			if c.Local(drvRemaining) == 0 {
-				if keepGoing == nil || !keepGoing() {
-					c.Finish(c.Local(drvSink))
-					return
-				}
-				c.SetLocal(drvRemaining, pairs)
-			}
-			id := c.Local(drvCounter)
-			v := uint64(c.P().ID())<<40 | id
-			c.SetLocal(drvCounter, id+1)
-			rec.Invoke(c.P().ID(), history.OpEnq, id, v, 0, c.Mem().Stats)
-			c.Call(q.EnqRoutine(), q.EnqEntry(), 1, []uint64{v}, nil)
-		},
-		func(c *capsule.Ctx) { // pc1: enqueue committed; dequeue
-			if rec.Enabled() {
-				id := c.Local(drvCounter) - 1
-				rec.Return(c.P().ID(), history.OpEnq, id, true, 0, c.Mem().Stats)
-				rec.Invoke(c.P().ID(), history.OpDeq, id, 0, 0, c.Mem().Stats)
-			}
-			c.Call(q.DeqRoutine(), q.DeqEntry(), 2, nil, []int{drvDeqOK, drvDeqVal})
-		},
-		func(c *capsule.Ctx) { // pc2: account and loop
-			rec.Return(c.P().ID(), history.OpDeq, c.Local(drvCounter)-1,
-				c.Local(drvDeqOK) != 0, c.Local(drvDeqVal), c.Mem().Stats)
-			c.SetLocal(drvRemaining, c.Local(drvRemaining)-1)
-			c.SetLocal(drvSink, c.Local(drvSink)+c.Local(drvDeqVal))
-			c.Boundary(0)
-		},
-	)
-}
-
-// OpLog records completed operations for checking; shared by tests.
-type OpLog struct {
-	Enqueued []uint64
-	Dequeued []uint64
-	Empties  int
-}
-
-// RegisterLoggingDriver is like RegisterPairsDriver but records every
-// completed operation in logs[pid] (volatile, one per process, owned by
-// the embedding test). Values are pid<<40|counter. The log reflects the
-// volatile view: in crash-free runs it is exact; under crashes an
-// operation can complete without being logged, or be logged twice when
-// a driver capsule repeats — crash tests must validate from persistent
-// state instead.
-func RegisterLoggingDriver(reg *capsule.Registry, q Queue, logs []*OpLog) capsule.RoutineID {
-	return reg.Register("logging-driver", false,
-		func(c *capsule.Ctx) { // pc0
-			if c.Local(drvRemaining) == 0 {
-				c.Finish()
-				return
-			}
-			v := uint64(c.P().ID())<<40 | c.Local(drvCounter)
-			c.SetLocal(drvCounter, c.Local(drvCounter)+1)
-			c.Call(q.EnqRoutine(), q.EnqEntry(), 1, []uint64{v}, nil)
-		},
-		func(c *capsule.Ctx) { // pc1: enqueue committed (Call returned)
-			log := logs[c.P().ID()]
-			v := uint64(c.P().ID())<<40 | (c.Local(drvCounter) - 1)
-			log.Enqueued = append(log.Enqueued, v)
-			c.Call(q.DeqRoutine(), q.DeqEntry(), 2, nil, []int{drvDeqOK, drvDeqVal})
-		},
-		func(c *capsule.Ctx) { // pc2
-			log := logs[c.P().ID()]
-			if c.Local(drvDeqOK) != 0 {
-				log.Dequeued = append(log.Dequeued, c.Local(drvDeqVal))
-			} else {
-				log.Empties++
-			}
-			c.SetLocal(drvRemaining, c.Local(drvRemaining)-1)
-			c.Boundary(0)
-		},
-	)
-}
-
-// InstallDriver installs the driver routine for every process and
-// returns ready-to-run programs.
-func InstallDriver(rt *proc.Runtime, reg *capsule.Registry, drv capsule.RoutineID, bases []pmem.Addr, pairs uint64) func(i int) proc.Program {
-	for i := 0; i < rt.P(); i++ {
-		capsule.Install(rt.Proc(i).Mem(), bases[i], reg, drv, pairs)
-	}
-	return func(i int) proc.Program {
-		return func(p *proc.Proc) {
-			capsule.NewMachine(p, reg, bases[i]).Run()
-		}
-	}
 }

@@ -2,6 +2,7 @@ package pqueue
 
 import (
 	"delayfree/internal/capsule"
+	"delayfree/internal/pmem"
 	"delayfree/internal/rcas"
 )
 
@@ -141,12 +142,24 @@ func (g *General) enqSwing(c *capsule.Ctx) {
 	// Result-ignored recoverable CAS: skip only if recovery proves this
 	// exact CAS already executed; re-executing a failed one is harmless.
 	if !(c.Crashed() && g.Space.CheckRecovery(p, g.tail, seq, pid)) {
-		g.Space.Cas(p, g.tail, t, rcas.Val(nx), seq, pid)
+		g.swing(p, t, nx, seq, pid)
 	}
 	if g.Durable {
 		g.persist(p, g.tail)
 	}
 	g.enqReadPhase(c)
+}
+
+// swing is the helping tail swing both swing capsules persist a decision
+// for: tail from t to the node t's link held, nx, when the read phase
+// ran. A full-system crash after that boundary can have dropped the link
+// (its enqueuer had not persisted it yet), and the tail CAS cannot see
+// that — the tail still holds t — so the link is re-read first and the
+// tail swung only onto a link that is still there.
+func (g *General) swing(p *pmem.Port, t, nx, seq uint64, pid int) {
+	if g.Space.ReadFull(p, g.link(uint32(rcas.Val(t)))) == nx {
+		g.Space.Cas(p, g.tail, t, rcas.Val(nx), seq, pid)
+	}
 }
 
 func (g *General) enqAfter(c *capsule.Ctx) {
@@ -206,10 +219,7 @@ func (g *General) deqCas(c *capsule.Ctx) {
 	h := c.Local(gdH)
 	nx := c.Local(gdNx)
 	if g.Durable {
-		// The link we are about to step over must be durable before
-		// the removal can be acknowledged (Friedman et al.).
-		p.Flush(g.link(uint32(rcas.Val(h))))
-		g.maybeFence(p)
+		g.flushDequeue(p, h)
 	}
 	ok := false
 	if c.Crashed() {
@@ -240,7 +250,7 @@ func (g *General) deqSwing(c *capsule.Ctx) {
 		g.maybeFence(p)
 	}
 	if !(c.Crashed() && g.Space.CheckRecovery(p, g.tail, seq, pid)) {
-		g.Space.Cas(p, g.tail, t, rcas.Val(nx), seq, pid)
+		g.swing(p, t, nx, seq, pid)
 	}
 	if g.Durable {
 		g.persist(p, g.tail)

@@ -198,8 +198,7 @@ func (n *Normalized) deqExec(c *capsule.Ctx) {
 	seq := c.NextSeq()
 	h := c.Local(ndH)
 	if n.Durable {
-		p.Flush(n.link(uint32(rcas.Val(h))))
-		n.maybeFence(p)
+		n.flushDequeue(p, h)
 	}
 	ok := false
 	if c.Crashed() {

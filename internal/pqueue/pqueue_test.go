@@ -9,6 +9,7 @@ import (
 	"delayfree/internal/proc"
 	"delayfree/internal/qnode"
 	"delayfree/internal/rcas"
+	"delayfree/internal/workload"
 )
 
 // env bundles a runtime, a queue variant and its registry.
@@ -77,51 +78,90 @@ func newEnv(t testing.TB, v variant, d durCfg, P int, nodes uint32, seed int64) 
 	return e
 }
 
-// quiesce disarms all crash schedules so post-run inspection through
-// the processes' ports cannot fire a leftover crash on the test
-// goroutine.
-func (e *env) quiesce() {
+// runDriver installs drv with args on every process and runs them all
+// to completion.
+func (e *env) runDriver(drv capsule.RoutineID, args ...uint64) {
 	for i := 0; i < e.rt.P(); i++ {
-		e.rt.Proc(i).Disarm()
+		capsule.Install(e.rt.Proc(i).Mem(), e.bases[i], e.reg, drv, args...)
 	}
+	e.rt.RunToCompletion(func(i int) proc.Program {
+		return func(p *proc.Proc) { capsule.NewMachine(p, e.reg, e.bases[i]).Run() }
+	})
 }
 
-// driverSink reads the pairs driver's persisted accumulator for proc i
-// after its program finished.
-func driverSink(e *env, i int) uint64 {
-	e.quiesce()
-	m := capsule.NewMachine(e.rt.Proc(i), e.reg, e.bases[i])
-	depth, pc, locals := m.LoadState()
-	if depth != 0 || pc != capsule.PCDone {
-		panic(fmt.Sprintf("driver %d not finished: depth=%d pc=%d", i, depth, pc))
-	}
-	return locals[drvSink]
+// pairEnv is the package's pair round (workload.PairStress) over
+// variant v in durability configuration d, built by hand so a test can
+// drive the processes itself: P processes with the pair driver
+// installed for `pairs` pairs, not yet running.
+type pairEnv struct {
+	r *workload.Round
+	h workload.Hooks
+	q Queue
 }
 
-// expectSinkSum returns the sum of values pid<<40|k for k in [0,pairs).
-func expectSinkSum(pid int, pairs uint64) uint64 {
-	s := uint64(0)
-	for k := uint64(0); k < pairs; k++ {
-		s += uint64(pid)<<40 | k
+// newPairEnv builds the round; space, if non-nil, wraps the queue's CAS
+// space.
+func newPairEnv(t testing.TB, v variant, d durCfg, P, pairs int, seed int64, space func(rcas.CasSpace) rcas.CasSpace) *pairEnv {
+	t.Helper()
+	pe := &pairEnv{}
+	spec := stressSpec(v.name, func(cfg Config) Queue {
+		cfg.Durable = d.manual
+		if space != nil {
+			cfg.Space = space(cfg.Space)
+		}
+		pe.q = v.mk(cfg)
+		return pe.q
+	})
+	r := &workload.Round{
+		StressConfig: workload.StressConfig{Procs: P, Ops: pairs, Seed: seed, Shared: d.mode == pmem.Shared},
+		N:            P,
+		Reg:          capsule.NewRegistry(),
 	}
-	return s
+	r.Mem = pmem.New(pmem.Config{Words: spec.Words(r) + uint64(P)*capsule.ProcWords, Mode: d.mode, Checked: true, Seed: seed})
+	r.RT = proc.NewRuntime(r.Mem, P)
+	r.RT.SystemCrashMode = d.sysCrash
+	for i := 0; i < P; i++ {
+		r.RT.Proc(i).Mem().Auto = d.auto
+	}
+	pe.r, pe.h = r, spec.Build(r)
+	return pe
+}
+
+// prog is process i's program: its machine over the pair driver.
+func (pe *pairEnv) prog(i int) proc.Program {
+	return func(*proc.Proc) { pe.r.Machine(i).Run() }
+}
+
+// run runs every process to completion and checks the outcome.
+func (pe *pairEnv) run() error {
+	pe.r.RT.RunToCompletion(pe.prog)
+	return pe.check()
+}
+
+// check disarms every process, crashes the system so that only durable
+// state counts, and applies the pair round's conservation check to the
+// recovered queue and the persisted driver accounting.
+func (pe *pairEnv) check() error {
+	locals := make([][]uint64, pe.r.N)
+	for i := range locals {
+		pe.r.RT.Proc(i).Disarm()
+	}
+	pe.r.RT.CrashSystem()
+	for i := range locals {
+		depth, pc, l := pe.r.Machine(i).LoadState()
+		if depth != 0 || pc != capsule.PCDone {
+			return fmt.Errorf("proc %d did not finish: depth=%d pc=%d", i, depth, pc)
+		}
+		locals[i] = l
+	}
+	return pe.h.Check(pe.h.Final(), locals, &workload.StressReport{})
 }
 
 func TestSequentialPairs(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			e := newEnv(t, v, durCfgs[0], 1, 256, 1)
-			drv := RegisterPairsDriver(e.reg, e.q)
-			const pairs = 40
-			prog := InstallDriver(e.rt, e.reg, drv, e.bases, pairs)
-			e.rt.RunToCompletion(prog)
-			if got := e.q.Len(e.rt.Proc(0).Mem()); got != 0 {
-				t.Fatalf("queue length %d after balanced pairs", got)
-			}
-			// The driver accumulated every dequeued value; with one
-			// process each dequeue returns the value just enqueued.
-			if got := driverSink(e, 0); got != expectSinkSum(0, pairs) {
-				t.Fatalf("sink=%d, want %d", got, expectSinkSum(0, pairs))
+			if err := newPairEnv(t, v, durCfgs[0], 1, 40, 1, nil).run(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -132,7 +172,7 @@ func TestSequentialFIFOOrder(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			e := newEnv(t, v, durCfgs[0], 1, 256, 1)
-			logs := []*OpLog{{}}
+			logs := []*opLog{{}}
 			// Custom driver: all enqueues then all dequeues.
 			drv := e.reg.Register("fifo-driver", false,
 				func(c *capsule.Ctx) { // pc0: enqueue phase
@@ -157,8 +197,7 @@ func TestSequentialFIFOOrder(t *testing.T) {
 				},
 			)
 			const k = 20
-			prog := InstallDriver(e.rt, e.reg, drv, e.bases, k)
-			e.rt.RunToCompletion(prog)
+			e.runDriver(drv, k)
 			if len(logs[0].Dequeued) != k {
 				t.Fatalf("dequeued %d values", len(logs[0].Dequeued))
 			}
@@ -224,13 +263,11 @@ func TestConcurrentPairsAllVariants(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			e := newEnv(t, v, durCfgs[0], P, 4096, 1)
-			logs := make([]*OpLog, P)
+			logs := make([]*opLog, P)
 			for i := range logs {
-				logs[i] = &OpLog{}
+				logs[i] = &opLog{}
 			}
-			drv := RegisterLoggingDriver(e.reg, e.q, logs)
-			prog := InstallDriver(e.rt, e.reg, drv, e.bases, pairs)
-			e.rt.RunToCompletion(prog)
+			e.runDriver(registerLoggingDriver(e.reg, e.q, logs), pairs)
 
 			port := e.rt.Proc(0).Mem()
 			remaining := e.q.Drain(port)
@@ -239,10 +276,50 @@ func TestConcurrentPairsAllVariants(t *testing.T) {
 	}
 }
 
+// opLog records one process's completed operations.
+type opLog struct {
+	Enqueued []uint64
+	Dequeued []uint64
+	Empties  int
+}
+
+// registerLoggingDriver registers a depth-0 routine running `remaining`
+// (slot 1) enqueue-dequeue pairs with values pid<<40|counter, recording
+// every completed operation in logs[pid]. The log is the volatile view,
+// exact only in crash-free runs.
+func registerLoggingDriver(reg *capsule.Registry, q Queue, logs []*opLog) capsule.RoutineID {
+	return reg.Register("logging-driver", false,
+		func(c *capsule.Ctx) { // pc0
+			if c.Local(1) == 0 {
+				c.Finish()
+				return
+			}
+			v := uint64(c.P().ID())<<40 | c.Local(2)
+			c.SetLocal(2, c.Local(2)+1)
+			c.Call(q.EnqRoutine(), q.EnqEntry(), 1, []uint64{v}, nil)
+		},
+		func(c *capsule.Ctx) { // pc1: enqueue committed (Call returned)
+			log := logs[c.P().ID()]
+			log.Enqueued = append(log.Enqueued, uint64(c.P().ID())<<40|(c.Local(2)-1))
+			c.Call(q.DeqRoutine(), q.DeqEntry(), 2, nil, []int{3, 4})
+		},
+		func(c *capsule.Ctx) { // pc2
+			log := logs[c.P().ID()]
+			if c.Local(3) != 0 {
+				log.Dequeued = append(log.Dequeued, c.Local(4))
+			} else {
+				log.Empties++
+			}
+			c.SetLocal(1, c.Local(1)-1)
+			c.Boundary(0)
+		},
+	)
+}
+
 // checkExactness validates: every enqueued value dequeued or still
 // present, exactly once; per-producer FIFO order among dequeues of each
 // consumer stream.
-func checkExactness(t *testing.T, logs []*OpLog, remaining []uint64, P int, pairs uint64) {
+func checkExactness(t *testing.T, logs []*opLog, remaining []uint64, P int, pairs uint64) {
 	t.Helper()
 	enq := make(map[uint64]int)
 	for _, l := range logs {
@@ -286,37 +363,34 @@ func checkExactness(t *testing.T, logs []*OpLog, remaining []uint64, P int, pair
 }
 
 // TestCrashSweepSinglePairs sweeps a deterministic crash across every
-// step of a single-process pairs run, for every variant and durability
-// configuration. Exactness: final sink sum and empty queue.
+// step of a single-process pair round, for every variant and durability
+// configuration, and holds each run to the round's conservation check.
 func TestCrashSweepSinglePairs(t *testing.T) {
 	const pairs = 3
 	for _, v := range variants {
 		for _, d := range durCfgs {
 			t.Run(fmt.Sprintf("%s/%s", v.name, d.name), func(t *testing.T) {
-				e := newEnv(t, v, d, 1, 256, 1)
-				drv := RegisterPairsDriver(e.reg, e.q)
-				prog := InstallDriver(e.rt, e.reg, drv, e.bases, pairs)
-				e.rt.RunToCompletion(prog)
-				total := int64(e.rt.Proc(0).Mem().Stats.Steps)
-				want := expectSinkSum(0, pairs)
+				pe := newPairEnv(t, v, d, 1, pairs, 1, nil)
+				port := pe.r.RT.Proc(0).Mem()
+				start := port.Stats.Steps
+				pe.r.RT.RunToCompletion(pe.prog)
+				total := int64(port.Stats.Steps - start)
+				if err := pe.check(); err != nil {
+					t.Fatalf("crash-free: %v", err)
+				}
 
 				stride := int64(1)
 				if testing.Short() {
 					stride = 7
 				}
 				for k := int64(1); k <= total; k += stride {
-					e := newEnv(t, v, d, 1, 256, k)
-					drv := RegisterPairsDriver(e.reg, e.q)
-					prog := InstallDriver(e.rt, e.reg, drv, e.bases, pairs)
-					e.rt.Proc(0).ArmCrashAfter(k)
-					e.rt.RunToCompletion(prog)
-					e.quiesce()
-					port := e.rt.Proc(0).Mem()
-					if got := e.q.Len(port); got != 0 {
-						t.Fatalf("crash@%d: queue length %d", k, got)
+					pe := newPairEnv(t, v, d, 1, pairs, k, nil)
+					pe.r.RT.Proc(0).ArmCrashAfter(k)
+					if err := pe.run(); err != nil {
+						t.Fatalf("crash@%d: %v", k, err)
 					}
-					if got := driverSink(e, 0); got != want {
-						t.Fatalf("crash@%d: sink=%d, want %d", k, got, want)
+					if pe.r.RT.Proc(0).Restarts() != 1 {
+						t.Fatalf("crash@%d: %d restarts, want 1", k, pe.r.RT.Proc(0).Restarts())
 					}
 				}
 			})
@@ -327,33 +401,18 @@ func TestCrashSweepSinglePairs(t *testing.T) {
 // TestConcurrentCrashStorm runs P processes with randomized independent
 // crashes (private model) and validates exactness from persistent state:
 // all processes complete all pairs, the queue drains empty, and the
-// total of all sinks matches.
+// dequeued values add up even though processes dequeue each other's.
 func TestConcurrentCrashStorm(t *testing.T) {
 	const P, pairs = 3, 15
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				e := newEnv(t, v, durCfgs[0], P, 4096, seed)
-				drv := RegisterPairsDriver(e.reg, e.q)
-				prog := InstallDriver(e.rt, e.reg, drv, e.bases, pairs)
+				pe := newPairEnv(t, v, durCfgs[0], P, pairs, seed, nil)
 				for i := 0; i < P; i++ {
-					e.rt.Proc(i).AutoCrash(seed*31+int64(i), 150, 1500)
+					pe.r.RT.Proc(i).AutoCrash(seed*31+int64(i), 150, 1500)
 				}
-				e.rt.RunToCompletion(prog)
-				e.quiesce()
-				port := e.rt.Proc(0).Mem()
-				if got := e.q.Len(port); got != 0 {
-					t.Fatalf("seed=%d: queue length %d", seed, got)
-				}
-				var totalSink, wantSink uint64
-				for i := 0; i < P; i++ {
-					totalSink += driverSink(e, i)
-					wantSink += expectSinkSum(i, pairs)
-				}
-				// Values are conserved even though processes may dequeue
-				// each other's values.
-				if totalSink != wantSink {
-					t.Fatalf("seed=%d: sink total %d, want %d", seed, totalSink, wantSink)
+				if err := pe.run(); err != nil {
+					t.Fatalf("seed=%d: %v", seed, err)
 				}
 			}
 		})
@@ -368,34 +427,23 @@ func TestSharedSystemCrashStorm(t *testing.T) {
 	for _, v := range variants {
 		for _, d := range durCfgs[1:] {
 			t.Run(fmt.Sprintf("%s/%s", v.name, d.name), func(t *testing.T) {
-				e := newEnv(t, v, d, P, 2048, 99)
-				drv := RegisterPairsDriver(e.reg, e.q)
-				prog := InstallDriver(e.rt, e.reg, drv, e.bases, pairs)
-				e.rt.GoAll(prog)
+				pe := newPairEnv(t, v, d, P, pairs, 99, nil)
+				pe.r.RT.GoAll(pe.prog)
 				done := make(chan struct{})
 				go func() {
-					e.rt.Wait()
+					pe.r.RT.Wait()
 					close(done)
 				}()
 				crashes := 0
 				for {
 					select {
 					case <-done:
-						port := e.rt.Proc(0).Mem()
-						if got := e.q.Len(port); got != 0 {
-							t.Fatalf("queue length %d after %d system crashes", got, crashes)
-						}
-						var totalSink, wantSink uint64
-						for i := 0; i < P; i++ {
-							totalSink += driverSink(e, i)
-							wantSink += expectSinkSum(i, pairs)
-						}
-						if totalSink != wantSink {
-							t.Fatalf("sink total %d, want %d (crashes=%d)", totalSink, wantSink, crashes)
+						if err := pe.check(); err != nil {
+							t.Fatalf("after %d system crashes: %v", crashes, err)
 						}
 						return
 					default:
-						e.rt.CrashSystem()
+						pe.r.RT.CrashSystem()
 						crashes++
 					}
 				}
@@ -404,18 +452,21 @@ func TestSharedSystemCrashStorm(t *testing.T) {
 	}
 }
 
+// pairStats runs one process through 50 pairs of variant v in
+// configuration d and returns what the process consumed.
+func pairStats(t *testing.T, v variant, d durCfg) pmem.Stats {
+	pe := newPairEnv(t, v, d, 1, 50, 1, nil)
+	pe.r.RT.RunToCompletion(pe.prog)
+	return pe.r.RT.Proc(0).Mem().Stats
+}
+
 // TestBoundaryCounts pins the per-operation persist-event ordering the
 // paper's Figure 5/6 discussion predicts: the Normalized queue uses
 // strictly fewer capsule boundaries per operation than the General one.
 func TestBoundaryCounts(t *testing.T) {
 	counts := map[string]uint64{}
-	for _, v := range variants[:4] {
-		e := newEnv(t, v, durCfgs[0], 1, 512, 1)
-		drv := RegisterPairsDriver(e.reg, e.q)
-		const pairs = 50
-		prog := InstallDriver(e.rt, e.reg, drv, e.bases, pairs)
-		e.rt.RunToCompletion(prog)
-		counts[v.name] = e.rt.Proc(0).Mem().Stats.Boundaries
+	for _, v := range variants {
+		counts[v.name] = pairStats(t, v, durCfgs[0]).Boundaries
 	}
 	if counts["normalized"] >= counts["general"] {
 		t.Fatalf("normalized (%d) should use fewer boundaries than general (%d)",
@@ -432,12 +483,7 @@ func TestBoundaryCounts(t *testing.T) {
 func TestFenceCounts(t *testing.T) {
 	fences := map[string]uint64{}
 	for _, v := range variants {
-		e := newEnv(t, v, durCfgs[2], 1, 512, 1) // manual durability
-		drv := RegisterPairsDriver(e.reg, e.q)
-		const pairs = 50
-		prog := InstallDriver(e.rt, e.reg, drv, e.bases, pairs)
-		e.rt.RunToCompletion(prog)
-		fences[v.name] = e.rt.Proc(0).Mem().Stats.Fences
+		fences[v.name] = pairStats(t, v, durCfgs[2]).Fences // manual durability
 	}
 	if fences["general-opt"] >= fences["general"] {
 		t.Fatalf("general-opt fences %d, general %d", fences["general-opt"], fences["general"])

@@ -1,6 +1,8 @@
 package pstack
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"delayfree/internal/capsule"
@@ -8,6 +10,7 @@ import (
 	"delayfree/internal/proc"
 	"delayfree/internal/qnode"
 	"delayfree/internal/rcas"
+	"delayfree/internal/workload"
 )
 
 type env struct {
@@ -46,45 +49,63 @@ func newSeededEnv(t testing.TB, P int, mode pmem.Mode, seed int64, opt, durable 
 	return e
 }
 
-// driver: `n` push-pop pairs, accumulating popped values in slot 5.
-func registerDriver(e *env) capsule.RoutineID {
-	return e.reg.Register("stack-driver", false,
-		func(c *capsule.Ctx) { // pc0
-			if c.Local(1) == 0 {
-				c.Finish(c.Local(5))
-				return
-			}
-			v := uint64(c.P().ID())<<40 | c.Local(2)
-			c.SetLocal(2, c.Local(2)+1)
-			c.Call(e.s.Routine(), e.s.PushEntry(), 1, []uint64{v}, nil)
-		},
-		func(c *capsule.Ctx) { // pc1
-			c.Call(e.s.Routine(), e.s.PopEntry(), 2, nil, []int{3, 4})
-		},
-		func(c *capsule.Ctx) { // pc2
-			c.SetLocal(1, c.Local(1)-1)
-			c.SetLocal(5, c.Local(5)+c.Local(4))
-			c.Boundary(0)
-		},
-	)
+// pairEnv is the stack's pair round (workload.PairStress) built by hand
+// so a test can drive the processes itself: P processes with the pair
+// driver installed for `pairs` pairs, not yet running. opt and durable
+// pick the stack's frames and protocol; mode picks the memory model,
+// shared with full-system crashes.
+type pairEnv struct {
+	r *workload.Round
+	h workload.Hooks
 }
 
-func sink(e *env, i int) uint64 {
-	e.rt.Proc(i).Disarm()
-	m := capsule.NewMachine(e.rt.Proc(i), e.reg, e.bases[i])
-	_, pc, locals := m.LoadState()
-	if pc != capsule.PCDone {
-		panic("driver not finished")
+func newPairEnv(t testing.TB, P, pairs int, mode pmem.Mode, seed int64, opt, durable bool) *pairEnv {
+	t.Helper()
+	spec := stressSpec(func(cfg Config) *Stack {
+		cfg.Opt, cfg.Durable = opt, durable
+		return New(cfg)
+	})
+	r := &workload.Round{
+		StressConfig: workload.StressConfig{Procs: P, Ops: pairs, Seed: seed, Shared: mode == pmem.Shared},
+		N:            P,
+		Reg:          capsule.NewRegistry(),
 	}
-	return locals[5]
+	r.Mem = pmem.New(pmem.Config{Words: spec.Words(r) + uint64(P)*capsule.ProcWords, Mode: mode, Checked: true, Seed: seed})
+	r.RT = proc.NewRuntime(r.Mem, P)
+	r.RT.SystemCrashMode = mode == pmem.Shared
+	return &pairEnv{r: r, h: spec.Build(r)}
 }
 
-func wantSink(pid int, pairs uint64) uint64 {
-	w := uint64(0)
-	for k := uint64(0); k < pairs; k++ {
-		w += uint64(pid)<<40 | k
+// runAll runs every process to completion.
+func (pe *pairEnv) runAll() {
+	pe.r.RT.RunToCompletion(func(i int) proc.Program {
+		return func(*proc.Proc) { pe.r.Machine(i).Run() }
+	})
+}
+
+// run runs every process to completion and checks the outcome.
+func (pe *pairEnv) run() error {
+	pe.runAll()
+	return pe.check()
+}
+
+// check disarms every process, crashes the system so that only durable
+// state counts, and applies the pair round's conservation check to the
+// recovered stack and the persisted driver accounting.
+func (pe *pairEnv) check() error {
+	locals := make([][]uint64, pe.r.N)
+	for i := range locals {
+		pe.r.RT.Proc(i).Disarm()
 	}
-	return w
+	pe.r.RT.CrashSystem()
+	for i := range locals {
+		depth, pc, l := pe.r.Machine(i).LoadState()
+		if depth != 0 || pc != capsule.PCDone {
+			return fmt.Errorf("proc %d did not finish: depth=%d pc=%d", i, depth, pc)
+		}
+		locals[i] = l
+	}
+	return pe.h.Check(pe.h.Final(), locals, &workload.StressReport{})
 }
 
 func TestLIFOSequential(t *testing.T) {
@@ -116,27 +137,8 @@ func TestLIFOSequential(t *testing.T) {
 }
 
 func TestConcurrentPairs(t *testing.T) {
-	const P, pairs = 4, 50
-	e := newEnv(t, P, pmem.Private, 1, false, false)
-	drv := registerDriver(e)
-	for i := 0; i < P; i++ {
-		capsule.Install(e.rt.Proc(i).Mem(), e.bases[i], e.reg, drv, pairs)
-	}
-	e.rt.RunToCompletion(func(i int) proc.Program {
-		return func(p *proc.Proc) {
-			capsule.NewMachine(p, e.reg, e.bases[i]).Run()
-		}
-	})
-	var got, want uint64
-	for i := 0; i < P; i++ {
-		got += sink(e, i)
-		want += wantSink(i, pairs)
-	}
-	if got != want {
-		t.Fatalf("sink total %d, want %d", got, want)
-	}
-	if n := e.s.Len(e.rt.Proc(0).Mem()); n != 0 {
-		t.Fatalf("leftover %d", n)
+	if err := newPairEnv(t, 4, 50, pmem.Private, 1, false, false).run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -146,38 +148,26 @@ func TestCrashSweep(t *testing.T) {
 	const pairs = 3
 	for _, mode := range []pmem.Mode{pmem.Private, pmem.Shared} {
 		for _, opt := range []bool{false, true} {
-			e := newEnv(t, 1, mode, 1, opt, mode == pmem.Shared)
-			drv := registerDriver(e)
-			capsule.Install(e.rt.Proc(0).Mem(), e.bases[0], e.reg, drv, pairs)
-			e.rt.RunToCompletion(func(i int) proc.Program {
-				return func(p *proc.Proc) {
-					capsule.NewMachine(p, e.reg, e.bases[i]).Run()
-				}
-			})
-			total := int64(e.rt.Proc(0).Mem().Stats.Steps)
-			want := wantSink(0, pairs)
+			pe := newPairEnv(t, 1, pairs, mode, 1, opt, mode == pmem.Shared)
+			port := pe.r.RT.Proc(0).Mem()
+			start := port.Stats.Steps
+			pe.runAll()
+			total := int64(port.Stats.Steps - start)
+			if err := pe.check(); err != nil {
+				t.Fatalf("mode=%v opt=%v crash-free: %v", mode, opt, err)
+			}
 			stride := int64(1)
 			if testing.Short() {
 				stride = 5
 			}
 			for k := int64(1); k <= total; k += stride {
-				e := newEnv(t, 1, mode, k, opt, mode == pmem.Shared)
-				drv := registerDriver(e)
-				capsule.Install(e.rt.Proc(0).Mem(), e.bases[0], e.reg, drv, pairs)
-				e.rt.Proc(0).ArmCrashAfter(k)
-				e.rt.RunToCompletion(func(i int) proc.Program {
-					return func(p *proc.Proc) {
-						capsule.NewMachine(p, e.reg, e.bases[i]).Run()
-					}
-				})
-				// The outcome must be durable, not only visible.
-				e.rt.Proc(0).Disarm()
-				e.rt.CrashSystem()
-				if got := sink(e, 0); got != want {
-					t.Fatalf("mode=%v opt=%v crash@%d: sink=%d want %d", mode, opt, k, got, want)
+				pe := newPairEnv(t, 1, pairs, mode, k, opt, mode == pmem.Shared)
+				pe.r.RT.Proc(0).ArmCrashAfter(k)
+				if err := pe.run(); err != nil {
+					t.Fatalf("mode=%v opt=%v crash@%d: %v", mode, opt, k, err)
 				}
-				if n := e.s.Len(e.rt.Proc(0).Mem()); n != 0 {
-					t.Fatalf("mode=%v opt=%v crash@%d: leftover %d", mode, opt, k, n)
+				if r := pe.r.RT.Proc(0).Restarts(); r != 1 {
+					t.Fatalf("mode=%v opt=%v crash@%d: %d restarts, want 1", mode, opt, k, r)
 				}
 			}
 		}
@@ -189,88 +179,62 @@ func TestCrashSweep(t *testing.T) {
 func TestConcurrentCrashStorm(t *testing.T) {
 	const P, pairs = 3, 12
 	for seed := int64(1); seed <= 3; seed++ {
-		e := newEnv(t, P, pmem.Private, seed, true, false)
-		drv := registerDriver(e)
+		pe := newPairEnv(t, P, pairs, pmem.Private, seed, true, false)
 		for i := 0; i < P; i++ {
-			capsule.Install(e.rt.Proc(i).Mem(), e.bases[i], e.reg, drv, pairs)
-			e.rt.Proc(i).AutoCrash(seed*17+int64(i), 150, 1500)
+			pe.r.RT.Proc(i).AutoCrash(seed*17+int64(i), 150, 1500)
 		}
-		e.rt.RunToCompletion(func(i int) proc.Program {
-			return func(p *proc.Proc) {
-				capsule.NewMachine(p, e.reg, e.bases[i]).Run()
-			}
-		})
-		var got, want uint64
-		for i := 0; i < P; i++ {
-			got += sink(e, i)
-			want += wantSink(i, pairs)
-		}
-		if got != want {
-			t.Fatalf("seed=%d: sink %d, want %d", seed, got, want)
-		}
-		if n := e.s.Len(e.rt.Proc(0).Mem()); n != 0 {
-			t.Fatalf("seed=%d: leftover %d", seed, n)
+		if err := pe.run(); err != nil {
+			t.Fatalf("seed=%d: %v", seed, err)
 		}
 	}
 }
 
 // TestStressDriverDisabledRecorderAllocs extends the capsule
-// TestBoundaryHotPathAllocs pin through the stress driver: with the
-// history recorder disabled (nil), a full push-pop pair batch through
-// the capsule machine must allocate exactly what a recorder-free twin
-// driver allocates — the audit instrumentation adds zero allocations
-// when off, since every non-audited stress round and benchmark runs
-// through this exact path. (The shared baseline is ~1 alloc/pair from
-// the Call args/ret slices, which predates and is independent of the
-// recorder.)
+// TestBoundaryHotPathAllocs pin through the pair round's driver: with the
+// history recorder disabled (nil), a run of push-pop pairs through the
+// capsule machine must allocate exactly what a recorder-free twin driver
+// allocates — the audit instrumentation adds zero allocations when off,
+// since every non-audited stress round runs through this exact path.
+// (The shared baseline is ~1 alloc/pair from the Call args/ret slices,
+// which predates and is independent of the recorder.)
 func TestStressDriverDisabledRecorderAllocs(t *testing.T) {
-	const pairs = 8
-	measure := func(mk func(e *env) capsule.RoutineID) float64 {
-		e := newEnv(t, 1, pmem.Private, 1, false, false)
-		drv := mk(e)
-		capsule.InstallIdle(e.rt.Proc(0).Mem(), e.bases[0], e.reg, drv)
-		var allocs float64
-		e.rt.RunToCompletion(func(int) proc.Program {
-			return func(p *proc.Proc) {
-				mach := capsule.NewMachine(p, e.reg, e.bases[0])
-				mach.Invoke(drv, 0) // warm up flushBuf and frame state
-				allocs = testing.AllocsPerRun(20, func() {
-					mach.Invoke(drv, 0)
-				})
-			}
-		})
-		return allocs
+	const pairs = 64
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(m *capsule.Machine) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.Run()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
 	}
-	withRec := measure(func(e *env) capsule.RoutineID {
-		return RegisterStressDriver(e.reg, e.s, pairs, nil, nil) // nil = audit off
-	})
-	// Twin of RegisterStressDriver with the recorder lines deleted.
-	twin := measure(func(e *env) capsule.RoutineID {
-		return e.reg.Register("pstack-stress-driver-norec", false,
-			func(c *capsule.Ctx) {
-				if c.Local(sdIdx) >= pairs {
-					c.Finish()
-					return
-				}
-				c.Call(e.s.Routine(), e.s.PushEntry(), 1, []uint64{valueTag(c.P().ID(), c.Local(sdIdx))}, nil)
-			},
-			func(c *capsule.Ctx) {
-				c.Call(e.s.Routine(), e.s.PopEntry(), 2, nil, []int{sdPopOK, sdPopV})
-			},
-			func(c *capsule.Ctx) {
-				if c.Local(sdPopOK) != 0 {
-					c.SetLocal(sdSum, c.Local(sdSum)+c.Local(sdPopV))
-					c.SetLocal(sdPops, c.Local(sdPops)+1)
-				} else {
-					c.SetLocal(sdEmpty, c.Local(sdEmpty)+1)
-				}
-				c.SetLocal(sdIdx, c.Local(sdIdx)+1)
-				c.Boundary(0)
-			},
-		)
-	})
+	withRec := mallocs(newPairEnv(t, 1, pairs, pmem.Private, 1, false, false).r.Machine(0)) // nil recorder = audit off
+	// Twin of the pair driver with the recorder lines deleted.
+	e := newEnv(t, 1, pmem.Private, 1, false, false)
+	drv := e.reg.Register("pair-driver-norec", false,
+		func(c *capsule.Ctx) {
+			if c.Local(1) >= pairs {
+				c.Finish()
+				return
+			}
+			c.Call(e.s.Routine(), e.s.PushEntry(), 1, []uint64{uint64(c.P().ID())<<40 | c.Local(1)}, nil)
+		},
+		func(c *capsule.Ctx) {
+			c.Call(e.s.Routine(), e.s.PopEntry(), 2, nil, []int{2, 3})
+		},
+		func(c *capsule.Ctx) {
+			if c.Local(2) != 0 {
+				c.SetLocal(4, c.Local(4)+c.Local(3))
+			} else {
+				c.SetLocal(5, c.Local(5)+1)
+			}
+			c.SetLocal(1, c.Local(1)+1)
+			c.Boundary(0)
+		},
+	)
+	capsule.Install(e.rt.Proc(0).Mem(), e.bases[0], e.reg, drv)
+	twin := mallocs(capsule.NewMachine(e.rt.Proc(0), e.reg, e.bases[0]))
 	if withRec > twin {
-		t.Errorf("disabled recorder adds %.1f allocs per %d-pair batch over the recorder-free twin (%.1f vs %.1f), want 0 extra",
+		t.Errorf("disabled recorder adds %d allocs over %d pairs beyond the recorder-free twin (%d vs %d), want 0 extra",
 			withRec-twin, pairs, withRec, twin)
 	}
 }

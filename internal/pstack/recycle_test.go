@@ -57,11 +57,12 @@ func runRecycleStress(t *testing.T, shared bool) {
 	const arenaCap = 64
 	var npool *qnode.PackedPool
 	spec := workload.StressSpec{
-		Name:   "pstack-recycle",
-		Family: "stack",
-		MinGap: func(n int) int64 { return int64(600 + 50*n + 25*recBatch) },
-		MaxGap: func(minGap int64) int64 { return 3 * minGap },
-		Events: func(*workload.Round) int { return int(target) * recBatch * 4 },
+		Name:    "pstack-recycle",
+		Family:  "stack",
+		Checker: history.CheckStackLIFO,
+		MinGap:  func(n int) int64 { return int64(600 + 50*n + 25*recBatch) },
+		MaxGap:  func(minGap int64) int64 { return 3 * minGap },
+		Events:  func(*workload.Round) int { return int(target) * recBatch * 4 },
 		Words: func(*workload.Round) uint64 {
 			return uint64(arenaCap+8)*pmem.WordsPerLine + qnode.PackedWords(recSegNodes, recNseg) + 1<<15
 		},

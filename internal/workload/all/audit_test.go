@@ -2,23 +2,24 @@ package all
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"delayfree/internal/workload"
 )
 
-// TestNoAuditCoverageGaps fails the moment a stresser is registered for
-// a family without a durable-linearizability checker — the same gate
-// `crashstress` enforces at startup (exit 2). Adding a workload family
-// means registering its HistoryChecker first; see DESIGN.md, "Adding a
-// workload family".
+// TestNoAuditCoverageGaps: every workload family is crash-stressed, so
+// every family's ordering audit runs — a stresser cannot register
+// without its durable-linearizability checker (see DESIGN.md, "Adding a
+// workload family").
 func TestNoAuditCoverageGaps(t *testing.T) {
-	if gaps := workload.AuditCoverageGaps(); len(gaps) != 0 {
-		t.Fatalf("stressers without an audit checker: %v", gaps)
+	stressed := map[string]bool{}
+	for _, s := range workload.Stressers() {
+		stressed[s.Family] = true
 	}
-	if len(workload.Stressers()) == 0 {
-		t.Fatal("no stressers registered")
+	for _, f := range workload.Families() {
+		if !stressed[f] {
+			t.Errorf("family %q has no stresser", f)
+		}
 	}
 }
 
@@ -31,10 +32,6 @@ func TestNoAuditCoverageGaps(t *testing.T) {
 func TestAuditedRoundsPass(t *testing.T) {
 	for _, s := range workload.Stressers() {
 		s := s
-		if _, ok := workload.LookupHistoryChecker(s.Family); !ok {
-			t.Errorf("stresser %q family %q has no history checker registered", s.Name, s.Family)
-			continue
-		}
 		for _, shared := range []bool{false, true} {
 			shared := shared
 			label := "private"
@@ -43,20 +40,9 @@ func TestAuditedRoundsPass(t *testing.T) {
 			}
 			t.Run(s.Name+"/"+label, func(t *testing.T) {
 				t.Parallel()
-				// Unbatched queue rounds run quota-less (single batch): the
-				// family's known latent violation occasionally livelocks
-				// quota-driven retry loops (see ROADMAP open items), exactly
-				// as in CI's smoke. The batched queue front-end has no retry
-				// loop (producers abandon, never republish), so it keeps the
-				// quota like the map/stack rounds, and every round genuinely
-				// recovers.
-				crashes := 25
-				if s.Family == "queue" && !strings.HasPrefix(s.Name, "pqueue-batched") {
-					crashes = 0
-				}
 				dir := t.TempDir()
-				rep, err := s.Run(workload.StressConfig{
-					Procs: 2, Ops: 20, Crashes: crashes, Seed: 1, Shared: shared,
+				rep, err := workload.RunRound(s, workload.StressConfig{
+					Procs: 2, Ops: 20, Crashes: 25, Seed: 1, Shared: shared,
 					Audit: true, ArtifactDir: dir,
 				})
 				if err != nil {
@@ -91,7 +77,7 @@ func TestLongExposureRoundFitsRecorder(t *testing.T) {
 		t.Fatal("pstack stresser not registered")
 	}
 	for _, shared := range []bool{false, true} {
-		if _, err := s.Run(workload.StressConfig{
+		if _, err := workload.RunRound(s, workload.StressConfig{
 			Procs: 1, Crashes: 2000, Seed: 3, Shared: shared,
 			Audit: true, ArtifactDir: t.TempDir(),
 		}); err != nil {
@@ -111,7 +97,7 @@ func benchRound(b *testing.B, audit bool) {
 	var ops uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := s.Run(workload.StressConfig{
+		rep, err := workload.RunRound(s, workload.StressConfig{
 			Procs: 4, Ops: 200, Crashes: 250, Seed: 1, Shared: true,
 			Audit: audit, ArtifactDir: b.TempDir(),
 		})

@@ -18,11 +18,16 @@ import (
 // capsule counters — audited rounds first against the family's history
 // checker and the Machine.Detect verdicts. A family contributes only a
 // StressSpec: how to build its structure, which driver each process
-// runs, what a restart must repair, and its residue/shadow check.
+// runs, what a restart must repair, its residue/shadow check and its
+// sequential-spec checker.
 
 // StressSpec is one stresser's family-specific part of a round.
 type StressSpec struct {
 	Name, Family string
+	// Checker returns every durable-linearizability violation of a
+	// recorded crash history against the family's sequential
+	// specification; audited rounds run it.
+	Checker func(h *history.History) []history.Violation
 	// Ops and Crashes default the zero StressConfig fields (Procs
 	// defaults to 4 everywhere). Crashes 0 leaves the round quota-less:
 	// one pass of the script, crashes as they fall.
@@ -98,13 +103,10 @@ type Hooks struct {
 	Check func(final history.FinalState, locals [][]uint64, rep *StressReport) error
 }
 
-// RegisterStressSpec registers spec as a stresser run by RunRound.
-func RegisterStressSpec(spec StressSpec) {
-	RegisterStresser(Stresser{
-		Name:   spec.Name,
-		Family: spec.Family,
-		Run:    func(cfg StressConfig) (StressReport, error) { return RunRound(spec, cfg) },
-	})
+// Machine returns process i's capsule machine over the process area
+// Install gave it.
+func (r *Round) Machine(i int) *capsule.Machine {
+	return capsule.NewMachine(r.RT.Proc(i), r.Reg, r.bases[i])
 }
 
 // RunRound runs one crash-stress round of spec under cfg and returns an
@@ -213,7 +215,7 @@ func RunRound(spec StressSpec, cfg StressConfig) (StressReport, error) {
 					h.Restart(i)
 				}
 			}
-			capsule.NewMachine(p, r.Reg, r.bases[i]).Run()
+			r.Machine(i).Run()
 			if h.Done != nil {
 				h.Done(i)
 			}
@@ -231,7 +233,6 @@ func RunRound(spec StressSpec, cfg StressConfig) (StressReport, error) {
 		report.Restarts += rt.Proc(i).Restarts()
 	}
 	final := h.Final()
-	machine := func(i int) *capsule.Machine { return capsule.NewMachine(rt.Proc(i), r.Reg, r.bases[i]) }
 
 	// Ordering audit first: when a round is broken the failing-history
 	// artifact must be written even if the checks below would reject
@@ -241,19 +242,19 @@ func RunRound(spec StressSpec, cfg StressConfig) (StressReport, error) {
 		if h.Counter != 0 {
 			completed = make([]uint64, r.Procs)
 			for i := range completed {
-				completed[i] = machine(i).Detect(h.Counter).Completed
+				completed[i] = r.Machine(i).Detect(h.Counter).Completed
 			}
 		}
 		hist := r.Rec.History()
 		hist.Final = final
 		meta := history.RunMeta{Stresser: spec.Name, Family: spec.Family, Seed: r.Seed, Shared: r.Shared, Procs: r.Procs}
-		if err := Audit(meta, r.ArtifactDir, hist, completed, report.Stats); err != nil {
+		if err := audit(spec.Checker, meta, r.ArtifactDir, hist, completed, report.Stats); err != nil {
 			return report, err
 		}
 	}
 	locals := make([][]uint64, r.N)
 	for i := range locals {
-		depth, pc, l := machine(i).LoadState()
+		depth, pc, l := r.Machine(i).LoadState()
 		if depth != 0 || pc != capsule.PCDone {
 			return report, fmt.Errorf("proc %d did not finish: depth=%d pc=%d", i, depth, pc)
 		}
@@ -266,4 +267,45 @@ func RunRound(spec StressSpec, cfg StressConfig) (StressReport, error) {
 		return report, fmt.Errorf("only %d crash events absorbed, want %d", got, r.Crashes)
 	}
 	return report, nil
+}
+
+// audit judges a round's merged history: the family's checker, then the
+// detectability cross-check of the trace against the per-process
+// committed-op verdicts read from the capsule restart pointers. On any
+// violation it writes the failing-history artifact and returns an error
+// naming the first violation and the artifact path. A spec without a
+// checker fails its audited rounds loudly instead of skipping the
+// ordering check.
+//
+// completed may be nil to skip the detectability cross-check: the
+// batched ingress stressers abandon operations interrupted by a crash
+// (exactly-once-or-never, no republish), so their per-process committed
+// counts are not dense watermarks over operation IDs and the watermark
+// contract of CheckDetectability does not apply. The family ordering
+// checker still runs in full.
+func audit(check func(*history.History) []history.Violation, meta history.RunMeta, dir string,
+	h *history.History, completed []uint64, stats pmem.Stats) error {
+	if check == nil {
+		return fmt.Errorf("workload: stresser %q has no history checker (audit demanded, cannot run)", meta.Stresser)
+	}
+	var violations []history.Violation
+	if h.Dropped > 0 {
+		violations = append(violations, history.Violation{
+			Spec: "trace", Code: "overflow",
+			Msg: fmt.Sprintf("%d events overflowed the recorder; the history is incomplete — raise the recorder capacity", h.Dropped),
+		})
+	}
+	violations = append(violations, check(h)...)
+	if completed != nil {
+		violations = append(violations, history.CheckDetectability(h, completed)...)
+	}
+	if len(violations) == 0 {
+		return nil
+	}
+	path, werr := history.WriteArtifact(dir, history.NewArtifact(meta, h, violations, stats))
+	if werr != nil {
+		path = "unwritable: " + werr.Error()
+	}
+	return fmt.Errorf("workload: audit found %d violation(s), first: %s (artifact: %s)",
+		len(violations), violations[0], path)
 }

@@ -9,6 +9,9 @@ import (
 
 	"delayfree/internal/capsule"
 	"delayfree/internal/history"
+	"delayfree/internal/pmem"
+	"delayfree/internal/proc"
+	"delayfree/internal/qnode"
 )
 
 // The shared round, driven by a fake family: a trivially correct
@@ -27,17 +30,11 @@ const fakeCounter = 1
 // fakeViolations is what the "fake" family's history checker reports.
 var fakeViolations []history.Violation
 
-func init() {
-	RegisterHistoryChecker(HistoryChecker{
-		Family: "fake",
-		Check:  func(*history.History) []history.Violation { return fakeViolations },
-	})
-}
-
 func (f *fakeRound) spec() StressSpec {
 	return StressSpec{
 		Name:    "fake-counter",
 		Family:  "fake",
+		Checker: func(*history.History) []history.Violation { return fakeViolations },
 		Ops:     50,
 		Crashes: 10,
 		MinGap:  func(int) int64 { return 150 },
@@ -151,5 +148,52 @@ func TestRoundAuditsBeforeFamilyCheck(t *testing.T) {
 	// Unaudited, the same round falls through to the family's check.
 	if _, err := RunRound(f.spec(), StressConfig{Procs: 2, Seed: 5, Shared: true}); err == nil || !strings.Contains(err.Error(), "family check also fails") {
 		t.Fatalf("unaudited err = %v", err)
+	}
+}
+
+// TestPairRoundCheck feeds the pair round's conservation check the
+// outcomes a broken queue or stack would leave: each must be rejected,
+// and the exact one accepted. Two processes ran two pairs each.
+func TestPairRoundCheck(t *testing.T) {
+	spec := PairStress("fake-pairs", "fake", true,
+		func(r *Round, _ *qnode.Arena) (capsule.RoutineID, int, capsule.RoutineID, int, func() []uint64) {
+			nop := r.Reg.Register("nop", false, func(c *capsule.Ctx) { c.Done() })
+			return nop, 0, nop, 0, nil
+		})
+	r := &Round{StressConfig: StressConfig{Procs: 2, Ops: 2}, N: 2, Reg: capsule.NewRegistry()}
+	r.Mem = pmem.New(pmem.Config{Words: spec.Words(r) + 2*capsule.ProcWords, Checked: true})
+	r.RT = proc.NewRuntime(r.Mem, 2)
+	h := spec.Build(r)
+	// locals is both processes' persisted driver slots after `pairs`
+	// pairs each: process 0 consumed its own values 0 and 1, process 1
+	// consumed v1 and its own 1<<40|1 (exact when v1 is its own 1<<40),
+	// and process 1 found the structure empty `empties` times.
+	locals := func(pairs, v1, empties uint64) [][]uint64 {
+		l := [][]uint64{make([]uint64, capsule.MaxSlots), make([]uint64, capsule.MaxSlots)}
+		l[0][pdIdx], l[0][pdSum] = pairs, 0+1
+		l[1][pdIdx], l[1][pdSum], l[1][pdEmpty] = pairs, v1+(1<<40|1), empties
+		return l
+	}
+	for _, c := range []struct {
+		name    string
+		residue []uint64
+		locals  [][]uint64
+		want    string
+	}{
+		{"exact", nil, locals(2, 1<<40, 0), ""},
+		{"value left behind", []uint64{1 << 40}, locals(2, 1<<40, 0), "holds 1 values"},
+		{"empty consume", nil, locals(2, 1<<40, 1), "empty 1 times"},
+		{"value consumed twice", nil, locals(2, 0, 0), "consumed-value sum"},
+		{"short script", nil, locals(1, 1<<40, 0), "ran 1 pairs"},
+	} {
+		var rep StressReport
+		err := h.Check(history.FinalState{Residue: c.residue}, c.locals, &rep)
+		if c.want == "" {
+			if err != nil || rep.Ops != 8 {
+				t.Errorf("%s: err %v, ops %d; want accepted with 8 ops", c.name, err, rep.Ops)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want %q", c.name, err, c.want)
+		}
 	}
 }

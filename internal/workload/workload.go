@@ -18,7 +18,8 @@
 //     queue length, ...) as named integer parameters with defaults, so
 //     consumers need no per-family configuration fields or flags;
 //   - Stressers: scripted operations under randomized crash injection in
-//     both failure models, with a shadow-model exactness check;
+//     both failure models, with a shadow-model exactness check and the
+//     family's durable-linearizability checker (StressSpec);
 //   - RecoveryProbes: the memory-operation cost of resuming a process
 //     after a crash, as a function of structure size.
 //
@@ -201,9 +202,8 @@ type StressConfig struct {
 	Ops int
 	// Crashes is the minimum number of crash events the round must
 	// absorb before its script is allowed to finish (full-system
-	// crashes under ganged crashing, process restarts otherwise). The
-	// map and stack stressers default to a family quota when zero; the
-	// queue stressers treat zero as "one batch of pairs, no quota".
+	// crashes under ganged crashing, process restarts otherwise). Zero
+	// selects the stresser's default quota.
 	Crashes int
 	Seed    int64
 	// Shared selects the shared-cache model (crashes drop a random
@@ -215,9 +215,9 @@ type StressConfig struct {
 	MinGap, MaxGap int64
 	// Audit enables history recording and the durable-linearizability
 	// ordering audit: the stresser records every operation, the round's
-	// crashes, and the recovered final state, then runs the family's
-	// registered HistoryChecker plus the detectability cross-check. A
-	// violation fails the round and dumps a failing-history artifact.
+	// crashes, and the recovered final state, then runs its spec's
+	// Checker plus the detectability cross-check. A violation fails the
+	// round and dumps a failing-history artifact.
 	Audit bool
 	// ArtifactDir is where a failing audit writes its artifact; empty
 	// selects the OS temp directory.
@@ -232,16 +232,6 @@ type StressReport struct {
 	// Stats sums the per-process memory counters the round consumed, so
 	// stress runs report the same persistence-cost metrics benches do.
 	Stats pmem.Stats
-}
-
-// Stresser is one registered crash-stress driver.
-type Stresser struct {
-	// Name is the unique stresser name (e.g. "normalized-opt", "pmap").
-	Name   string
-	Family string
-	// Run executes one round and returns an error on any exactness
-	// violation — a lost, duplicated or corrupted operation.
-	Run func(cfg StressConfig) (StressReport, error)
 }
 
 // RecoveryProbe measures how many memory operations one scheme needs to
@@ -259,7 +249,7 @@ var reg = struct {
 	byKind    map[string]int
 	figures   map[string][]Point
 	figOrder  []string
-	stressers []Stresser
+	stressers []StressSpec
 	byName    map[string]int
 	params    map[string]Param
 	paramOrd  []string
@@ -364,10 +354,12 @@ func Figures() map[string][]Point {
 	return out
 }
 
-// RegisterStresser adds a crash-stress driver; duplicate names panic.
-func RegisterStresser(s Stresser) {
-	if s.Name == "" || s.Family == "" || s.Run == nil {
-		panic("workload: RegisterStresser requires Name, Family and Run")
+// RegisterStressSpec registers spec as a stresser run by RunRound;
+// duplicate names panic, and so does a spec without a history checker,
+// so no family can be stressed without its ordering audit.
+func RegisterStressSpec(s StressSpec) {
+	if s.Name == "" || s.Family == "" || s.Build == nil || s.Checker == nil {
+		panic("workload: RegisterStressSpec requires Name, Family, Build and Checker")
 	}
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
@@ -379,19 +371,19 @@ func RegisterStresser(s Stresser) {
 }
 
 // Stressers returns every registered stresser in registration order.
-func Stressers() []Stresser {
+func Stressers() []StressSpec {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	return append([]Stresser(nil), reg.stressers...)
+	return append([]StressSpec(nil), reg.stressers...)
 }
 
 // LookupStresser finds a stresser by name.
-func LookupStresser(name string) (Stresser, bool) {
+func LookupStresser(name string) (StressSpec, bool) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	i, ok := reg.byName[name]
 	if !ok {
-		return Stresser{}, false
+		return StressSpec{}, false
 	}
 	return reg.stressers[i], true
 }
@@ -467,7 +459,7 @@ func RunStress(name string, cfg StressConfig) (StressReport, error) {
 		}
 		return StressReport{}, fmt.Errorf("workload: unknown stresser %q (registered: %v)", name, names)
 	}
-	return s.Run(cfg)
+	return RunRound(s, cfg)
 }
 
 // Sweep measures every point at every thread count, each point's Params

@@ -46,13 +46,7 @@ func init() {
 		Point{Label: "fake-a", Kind: "fake-a"},
 		Point{Label: "fake-b", Kind: "fake-b"},
 		Point{Label: "fake-a-s8", Kind: "fake-a", Params: Params{"fake-size": 8}})
-	RegisterStresser(Stresser{
-		Name:   "fake",
-		Family: "fake",
-		Run: func(cfg StressConfig) (StressReport, error) {
-			return StressReport{Crashes: 1, Ops: uint64(cfg.Ops)}, nil
-		},
-	})
+	RegisterStressSpec((&fakeRound{}).spec())
 	RegisterRecoveryProbe(RecoveryProbe{
 		Name:  "fake-probe",
 		Steps: func(n uint32) uint64 { return uint64(n) + 7 },
@@ -78,8 +72,8 @@ func TestRegistryLookups(t *testing.T) {
 	if names := FigureNames(); len(names) != 1 || names[0] != "fake" {
 		t.Fatalf("FigureNames() = %v", names)
 	}
-	if s, ok := LookupStresser("fake"); !ok || s.Family != "fake" {
-		t.Fatalf("LookupStresser(fake) = %+v, %v", s, ok)
+	if s, ok := LookupStresser("fake-counter"); !ok || s.Family != "fake" || s.Checker == nil {
+		t.Fatalf("LookupStresser(fake-counter) = %+v, %v", s, ok)
 	}
 	if len(RecoveryProbes()) != 1 {
 		t.Fatalf("probes: %v", RecoveryProbes())
@@ -119,8 +113,11 @@ func TestDuplicateRegistrationsPanic(t *testing.T) {
 	mustPanic("dup kind", func() {
 		RegisterBencher(Bencher{Kind: "fake-a", Family: "fake", Run: func(Config) Result { return Result{} }})
 	})
-	mustPanic("dup stresser", func() {
-		RegisterStresser(Stresser{Name: "fake", Family: "fake", Run: func(StressConfig) (StressReport, error) { return StressReport{}, nil }})
+	mustPanic("dup stresser", func() { RegisterStressSpec((&fakeRound{}).spec()) })
+	mustPanic("stresser without a checker", func() {
+		s := (&fakeRound{}).spec()
+		s.Name, s.Checker = "fake-unaudited", nil
+		RegisterStressSpec(s)
 	})
 	mustPanic("dup figure", func() { RegisterFigure("fake", Point{Label: "fake-a", Kind: "fake-a"}) })
 	mustPanic("unlabelled point", func() { RegisterFigure("fake-2", Point{Kind: "fake-a"}) })
