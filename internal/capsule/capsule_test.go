@@ -406,9 +406,10 @@ func TestPackingRoundTrips(t *testing.T) {
 	if pc != 0x123 || mask != 0xABCDEF {
 		t.Fatalf("ctl round trip: %x %x", pc, mask)
 	}
-	p2, m2, rs := unpackPending(packPending(0x55, 0x00FF00, []int{3, 17, 9}))
-	if p2 != 0x55 || m2 != 0x00FF00 || len(rs) != 3 || rs[0] != 3 || rs[1] != 17 || rs[2] != 9 {
-		t.Fatalf("pending round trip: %x %x %v", p2, m2, rs)
+	var rs [MaxRet]int
+	p2, m2, n := unpackPendingTo(packPending(0x55, 0x00FF00, []int{3, 17, 9}), &rs)
+	if p2 != 0x55 || m2 != 0x00FF00 || n != 3 || rs[0] != 3 || rs[1] != 17 || rs[2] != 9 {
+		t.Fatalf("pending round trip: %x %x %v", p2, m2, rs[:n])
 	}
 	pc3, e := unpackCompact(packCompact(0x7, 123456789))
 	if pc3 != 0x7 || e != 123456789 {
@@ -509,18 +510,19 @@ func TestCallReturnCosts(t *testing.T) {
 	}
 }
 
-// TestBoundaryAfterElidedReturnCost pins that clearing the live bit an
-// elided return left behind rides the boundary's own control-word line:
-// the boundary costs what a plain one dirtying the same lines costs.
+// TestBoundaryAfterElidedReturnCost pins that a DoneRO return leaves
+// nothing behind for the caller: it commits like Return, clearing the
+// live bit itself, so the boundary right after it costs what a plain
+// one dirtying the same lines costs.
 func TestBoundaryAfterElidedReturnCost(t *testing.T) {
 	e := newROBase(pmem.Shared, 1)
 	lookup := readOnlyOp(e)
-	var afterElided, plain persistCost
+	var afterDoneRO, plain persistCost
 	e.drv = e.reg.Register("driver", false,
 		func(c *Ctx) { c.Call(lookup, 0, 1, []uint64{5}, []int{roDrvRet}) },
 		func(c *Ctx) {
 			c.SetLocal(roDrvAcc, c.Local(roDrvRet))
-			afterElided = costOf(c.Mem(), func() { c.Boundary(2) })
+			afterDoneRO = costOf(c.Mem(), func() { c.Boundary(2) })
 		},
 		func(c *Ctx) {
 			c.SetLocal(roDrvAcc, c.Local(roDrvAcc)+1)
@@ -532,8 +534,8 @@ func TestBoundaryAfterElidedReturnCost(t *testing.T) {
 	if rets := e.run(); len(rets) != 1 || rets[0] != 106 {
 		t.Fatalf("rets=%v, want [106]", rets)
 	}
-	if want := (persistCost{2, 2}); afterElided != want || plain != want {
-		t.Fatalf("boundary after elided return %+v, plain %+v, want %+v each", afterElided, plain, want)
+	if want := (persistCost{2, 2}); afterDoneRO != want || plain != want {
+		t.Fatalf("boundary after DoneRO return %+v, plain %+v, want %+v each", afterDoneRO, plain, want)
 	}
 }
 

@@ -106,23 +106,6 @@ func (c *Ctx) commit() {
 	c.m.effectsAt = c.m.mem.PersistEffects()
 }
 
-// elide records a terminal whose persistence was skipped by the
-// read-only tier.
-func (c *Ctx) elide() {
-	c.m.mem.Stats.BoundariesElided++
-}
-
-// clearStaleLive clears the current frame's live bit when an elided
-// Return left it set, without persisting: the caller writes it into the
-// frame's control-word line and owns that line's flush. A non-live
-// pending word is never read, so it is simply zeroed.
-func (m *Machine) clearStaleLive(fr pmem.Addr) {
-	if m.staleLive {
-		m.mem.Write(fr+framePendingOff, 0)
-		m.staleLive = false
-	}
-}
-
 // writeDirty writes the dirty slots of the current frame into the copy
 // that placeMask designates as valid, returning the written addresses
 // (in the machine's reusable scratch buffer). Callers append any
@@ -177,7 +160,7 @@ func (c *Ctx) BoundaryRO(nextPC int) {
 	c.beginTerminal()
 	m := c.m
 	if m.clean() {
-		c.elide()
+		m.mem.Stats.BoundariesElided++
 		m.carryDirty |= c.dirty
 		m.pc[m.depth] = nextPC
 		return
@@ -190,9 +173,6 @@ func (c *Ctx) BoundaryRO(nextPC int) {
 func (c *Ctx) persistBoundary(nextPC int) {
 	m := c.m
 	d := m.depth
-	if m.roCall[d] {
-		panic("capsule: persisted boundary inside a read-only call")
-	}
 	fr := frameAddr(m.base, d)
 	if m.routine(d).Compact {
 		c.compactBoundary(fr, nextPC)
@@ -210,13 +190,8 @@ func (c *Ctx) persistBoundary(nextPC int) {
 		// unfenced flushes complete.
 		m.mem.Fence()
 	}
-	// Control word first, live bit second: same-line writes persist in
-	// order, so a crash that still finds the callee live re-runs its
-	// read-only span and repeats this boundary over intact pending copies.
 	m.mem.Write(fr+frameCtlOff, packCtl(nextPC, newMask))
-	m.clearStaleLive(fr)
-	m.mem.Flush(fr + frameCtlOff)
-	m.mem.Fence()
+	m.mem.FlushFence(fr + frameCtlOff)
 	m.mask[d] = newMask
 	m.pc[d] = nextPC
 	c.commit()
@@ -263,9 +238,6 @@ func (c *Ctx) Call(rid RoutineID, entry, contPC int, args []uint64, retSlots []i
 	if m.routine(d).Compact {
 		panic("capsule: Call from a compact routine is not supported")
 	}
-	if m.roCall[d] {
-		panic("capsule: Call inside a read-only call")
-	}
 	if d+1 >= MaxDepth {
 		panic("capsule: call depth exceeded")
 	}
@@ -273,16 +245,6 @@ func (c *Ctx) Call(rid RoutineID, entry, contPC int, args []uint64, retSlots []i
 		panic("capsule: too many return slots")
 	}
 	fr := frameAddr(m.base, d)
-	// An elided Return may have left this frame's live bit naming the
-	// very frame this call is about to reinitialize. Clear it durably
-	// first, or a crash during the frame init below would resume a
-	// half-written callee. Resuming at the current depth replays the
-	// caller's last persisted boundary, which re-runs the (read-only)
-	// elided span up to this Call.
-	if m.staleLive {
-		m.clearStaleLive(fr)
-		m.mem.FlushFence(fr + framePendingOff)
-	}
 
 	// Pending mask: flip every slot that receives a new value between
 	// now and the Return commit — dirty locals, return slots, and the
@@ -335,9 +297,10 @@ func (c *Ctx) Call(rid RoutineID, entry, contPC int, args []uint64, retSlots []i
 			m.mem.Write(sa, a)
 			addrs = append(addrs, sa)
 		}
-		// An earlier occupant that returned while its own callee's
-		// return was still elided left its live bit set; recovery would
-		// follow it past the new callee. It shares the control word's line.
+		// Recovery guard: a frame abandoned mid-call (a program
+		// reinstalled over an interrupted one) keeps its live bit, which
+		// recovery would follow past the new callee. Zeroing it costs no
+		// flush: it shares the control word's line.
 		m.mem.Write(fr2+framePendingOff, 0)
 		m.mem.Write(fr2+frameCtlOff, packCtl(entry, 0))
 		addrs = append(addrs, fr2+frameCtlOff)
@@ -353,65 +316,18 @@ func (c *Ctx) Call(rid RoutineID, entry, contPC int, args []uint64, retSlots []i
 	m.mem.FlushFence(fr + framePendingOff)
 
 	// Volatile view: caller resumes at contPC with pmask once Return
-	// commits; callee starts now.
+	// commits; callee starts now, with zeroed locals, the threaded
+	// sequence number and the arguments.
 	m.mask[d] = pmask
 	m.pc[d] = contPC
-	m.enterCallee(rid, entry, args)
+	m.rid[d+1] = rid
+	m.pc[d+1] = entry
+	m.vol[d+1] = [MaxSlots]uint64{}
+	m.vol[d+1][SeqSlot] = seq
+	copy(m.vol[d+1][1:], args)
+	m.volOK[d+1] = true
+	m.depth = d + 1
 	c.commit()
-}
-
-// enterCallee makes depth+1 the current frame in the volatile view:
-// zeroed locals, the threaded sequence number, and the arguments.
-func (m *Machine) enterCallee(rid RoutineID, entry int, args []uint64) {
-	d := m.depth + 1
-	m.rid[d] = rid
-	m.pc[d] = entry
-	m.vol[d] = [MaxSlots]uint64{}
-	m.vol[d][SeqSlot] = m.vol[m.depth][SeqSlot]
-	copy(m.vol[d][1:], args)
-	m.volOK[d] = true
-	m.depth = d
-}
-
-// CallRO is the read-only tier's call: a fully volatile invocation for
-// declared read-only callees (probe helpers). Nothing is persisted —
-// no callee frame, no pending word, no live bit — so a crash
-// anywhere inside the callee resumes the *caller's* last persisted
-// boundary and re-runs the whole span, which is sound exactly because
-// the span is read-only. Every capsule of the callee is implicitly
-// declared read-only: persisted boundaries inside it panic, and in
-// checked mode so does any persistent effect at its Return. The callee
-// routine needs no changes — its Return/Done delivers volatilely.
-func (c *Ctx) CallRO(rid RoutineID, entry, contPC int, args []uint64, retSlots []int) {
-	c.beginTerminal()
-	m := c.m
-	d := m.depth
-	if d+1 >= MaxDepth {
-		panic("capsule: call depth exceeded")
-	}
-	if len(retSlots) > MaxRet {
-		panic("capsule: too many return slots")
-	}
-	for _, s := range retSlots {
-		c.checkSlot(s)
-	}
-	callee := m.reg.Routine(rid)
-	maxArgs := MaxSlots
-	if callee.Compact {
-		maxArgs = MaxCompactSlots
-	}
-	if len(args) >= maxArgs {
-		panic("capsule: too many args for callee")
-	}
-	c.elide()
-	m.roCall[d+1] = true
-	m.roCont[d+1] = contPC
-	m.roRetN[d+1] = len(retSlots)
-	for k, s := range retSlots {
-		m.roRetSlots[d+1][k] = s
-	}
-	m.roCallerDirty[d+1] = c.dirty
-	m.enterCallee(rid, entry, args)
 }
 
 // Return ends the capsule and the current routine, delivering vals into
@@ -427,96 +343,6 @@ func (c *Ctx) Return(vals ...uint64) {
 	if d == 0 {
 		panic("capsule: Return at depth 0; use Finish")
 	}
-	if m.roCall[d] {
-		c.returnVolatile(vals)
-		return
-	}
-	c.persistReturn(vals)
-}
-
-// ReturnRO is the read-only tier's Return: when the callee span since
-// the Call's commit is clean (no persistent write, successful CAS or
-// flush), the return is delivered volatilely — the caller's pending
-// commit, the two Return fences and the live-bit clear are all elided,
-// and the returned values plus the threaded sequence number ride the
-// caller's dirty set to its next persisted boundary, which also clears
-// the live bit. A crash before that boundary resumes the
-// *callee* at its entry; the callee re-runs (pure reads) and returns
-// fresh values, and the caller's continuation repeats — so the caller
-// continuation up to its first persisted commit must itself be
-// repetition-safe (the probe-helper pattern: deliver, account in
-// locals, Boundary). When the span is not clean, ReturnRO commits like
-// Return.
-func (c *Ctx) ReturnRO(vals ...uint64) {
-	c.beginTerminal()
-	m := c.m
-	d := m.depth
-	if d == 0 {
-		panic("capsule: Return at depth 0; use Finish")
-	}
-	if m.roCall[d] {
-		c.returnVolatile(vals)
-		return
-	}
-	if !m.clean() {
-		c.persistReturn(vals)
-		return
-	}
-	c.elide()
-	fr1 := frameAddr(m.base, d-1)
-	var rs [MaxRet]int
-	contPC, pmask, n := unpackPendingTo(m.mem.Read(fr1+framePendingOff), &rs)
-	if len(vals) != n {
-		panic(fmt.Sprintf("capsule: Return with %d values, caller expects %d", len(vals), n))
-	}
-	seq := m.vol[d][SeqSlot]
-	if !m.volOK[d-1] {
-		m.loadFrameMidCall(d-1, contPC, pmask)
-	}
-	m.depth = d - 1
-	for k := 0; k < n; k++ {
-		m.vol[d-1][rs[k]] = vals[k]
-		m.carryDirty |= 1 << rs[k]
-	}
-	m.vol[d-1][SeqSlot] = seq
-	m.carryDirty |= 1 << SeqSlot
-	m.pc[d-1] = contPC
-	// The caller's persisted live bit still names the callee frame; the
-	// caller's next persisted commit clears it.
-	m.staleLive = true
-}
-
-// returnVolatile delivers a CallRO callee's return: everything is
-// volatile, bookkept by the machine rather than the pending word.
-func (c *Ctx) returnVolatile(vals []uint64) {
-	m := c.m
-	d := m.depth
-	if m.checkedMode() && !m.clean() {
-		panic("capsule: persistent effect inside a read-only call")
-	}
-	n := m.roRetN[d]
-	if len(vals) != n {
-		panic(fmt.Sprintf("capsule: Return with %d values, caller expects %d", len(vals), n))
-	}
-	c.elide()
-	seq := m.vol[d][SeqSlot]
-	dirty := m.roCallerDirty[d]
-	m.roCall[d] = false
-	m.depth = d - 1
-	for k := 0; k < n; k++ {
-		s := m.roRetSlots[d][k]
-		m.vol[d-1][s] = vals[k]
-		dirty |= 1 << s
-	}
-	m.vol[d-1][SeqSlot] = seq
-	m.carryDirty |= dirty | 1<<SeqSlot
-	m.pc[d-1] = m.roCont[d]
-}
-
-// persistReturn runs the full Return commit protocol.
-func (c *Ctx) persistReturn(vals []uint64) {
-	m := c.m
-	d := m.depth
 	fr1 := frameAddr(m.base, d-1)
 	var rs [MaxRet]int
 	contPC, pmask, n := unpackPendingTo(m.mem.Read(fr1+framePendingOff), &rs)
@@ -548,7 +374,6 @@ func (c *Ctx) persistReturn(vals []uint64) {
 	m.mem.Write(fr1+frameCtlOff, packCtl(contPC, pmask))
 	m.mem.Write(fr1+framePendingOff, 0)
 	m.mem.FlushFence(fr1 + frameCtlOff)
-	m.staleLive = false
 
 	m.depth = d - 1
 	if m.volOK[d-1] {
@@ -576,18 +401,9 @@ func (c *Ctx) Done(vals ...uint64) {
 	}
 }
 
-// DoneRO is Done on the read-only tier: ReturnRO when nested (the
-// return commit is elided if the operation performed only reads),
-// Finish at depth 0. Use it on completion paths that are read-only by
-// construction — pure lookups, empty-result probes — and whose
-// re-execution after a crash is a fresh, equally valid linearization.
-func (c *Ctx) DoneRO(vals ...uint64) {
-	if c.m.depth == 0 {
-		c.Finish(vals...)
-	} else {
-		c.ReturnRO(vals...)
-	}
-}
+// DoneRO is an alias of Done, kept for its remaining callers: every
+// Return commits, read-only or not.
+func (c *Ctx) DoneRO(vals ...uint64) { c.Done(vals...) }
 
 // Finish ends the depth-0 routine; Run returns vals. The completion is
 // persisted (pc = PCDone) so a crash after Finish does not re-run the
@@ -601,14 +417,7 @@ func (c *Ctx) Finish(vals ...uint64) {
 		panic("capsule: Finish at depth > 0; use Return")
 	}
 	if m.light {
-		if c.terminal {
-			panic("capsule: multiple terminal operations in one capsule")
-		}
-		c.terminal = true
-		if c.ro && m.checkedMode() && m.mem.PersistEffects() != c.effects0 {
-			panic(fmt.Sprintf("capsule: routine %s: persistent effect inside a declared read-only capsule",
-				m.routine(m.depth).Name))
-		}
+		c.beginTerminal()
 		// A light completion is volatile by the Invoke methodology, not a
 		// read-only-tier elision: it counts in neither boundary stat (as
 		// before the read-only tier existed), so elided/op measures only

@@ -88,9 +88,8 @@ func unpackCtl(w uint64) (pc int, mask uint32) {
 }
 
 // pendingLive is the callee-live bit of a full frame's pending word: set
-// by the Call commit, cleared by the Return commit (or, after an elided
-// return, by the caller's next persisted commit). A compact frame never
-// calls, so its pending word is never consulted.
+// by the Call commit, cleared by the Return commit, and by nothing else.
+// A compact frame never calls, so its pending word is never consulted.
 const pendingLive = 1 << 63
 
 // Pending-word packing: mask:24 | pc:12 | nret:3 | retslots:4*5, below
@@ -103,14 +102,8 @@ func packPending(pc int, mask uint32, retSlots []int) uint64 {
 	return w
 }
 
-func unpackPending(w uint64) (pc int, mask uint32, retSlots []int) {
-	var buf [MaxRet]int
-	pc, mask, n := unpackPendingTo(w, &buf)
-	return pc, mask, append([]int(nil), buf[:n]...)
-}
-
-// unpackPendingTo is the allocation-free unpack used on the Return hot
-// path: the return slots land in buf, n of them valid.
+// unpackPendingTo is the allocation-free unpack used by Return: the
+// return slots land in buf, n of them valid.
 func unpackPendingTo(w uint64, buf *[MaxRet]int) (pc int, mask uint32, n int) {
 	pc = int(w >> 24 & 0xFFF)
 	mask = uint32(w & 0xFFFFFF)

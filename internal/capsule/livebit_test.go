@@ -10,8 +10,8 @@ import (
 
 // Crash sweeps over the live-bit Call/Return protocol: the active frame
 // is whatever the per-frame live bits say, so the hazards are a bit that
-// outlives its callee (an elided return nobody cleared) and a commit
-// window in which the control word and the bit disagree.
+// outlives its callee (a Return that cleared the wrong frame's, or none)
+// and a commit window in which the control word and the bit disagree.
 
 // sweepLive runs the scenario crash-free, then once per instrumented
 // step with a crash armed at that step, in both failure models, and
@@ -87,13 +87,12 @@ func TestNestedCallCrashSweep(t *testing.T) {
 	}
 }
 
-// TestStaleLiveBitCrashSweep leaves a live bit durable in a frame that
-// has returned: the lookup at depth 2 elides its return, and the mid
-// routine at depth 1 then returns with a persisted Return, which clears
-// the driver's bit but not its own. Every later iteration Calls the same
-// routine into the same frame; unless that Call's frame init clears the
-// stale bit, recovery walks past the new callee into the previous
-// iteration's lookup frame and delivers its value.
+// TestStaleLiveBitCrashSweep returns through two frames per iteration:
+// the lookup at depth 2 returns with DoneRO, clearing the mid routine's
+// bit, and mid returns to the driver, clearing its. Every later
+// iteration Calls the same routines into the same frames; a Return that
+// left a bit set would let recovery walk past the new callee into the
+// previous iteration's lookup frame and deliver its value.
 func TestStaleLiveBitCrashSweep(t *testing.T) {
 	const n = 4
 	sweepLive(t, wantSum(n), func(mode pmem.Mode, seed int64) *roEnv {
@@ -108,9 +107,9 @@ func TestStaleLiveBitCrashSweep(t *testing.T) {
 }
 
 // TestCallAfterElidedReturnCrashSweep Calls again straight from the
-// continuation of an elided return, with no persisted boundary in
-// between: the Call must durably clear the caller's stale live bit before
-// it reinitialises the frame the bit still names.
+// continuation of a DoneRO return, with no boundary in between: the
+// return's own commit must leave the caller's live bit clear before the
+// next Call reinitialises the frame the bit named.
 func TestCallAfterElidedReturnCrashSweep(t *testing.T) {
 	const n = 4
 	for _, addCompact := range []bool{false, true} {
@@ -179,6 +178,29 @@ func TestDetectInReturnCommitWindow(t *testing.T) {
 	}
 	if windows != 1 {
 		t.Fatalf("sweep hit the commit window %d times, want exactly 1", windows)
+	}
+}
+
+// TestCallClearsAbandonedLiveBit plants a live bit in the callee frame,
+// as a program abandoned mid-call leaves it: the Call's frame init must
+// zero it, or a crash inside the callee resumes the frame below it.
+func TestCallClearsAbandonedLiveBit(t *testing.T) {
+	e := newCallEnv(pmem.Private, 1, false)
+	e.run(2)
+	total := int64(e.rt.Proc(0).Mem().Stats.Steps)
+	for k := int64(1); k <= total; k++ {
+		e := newCallEnv(pmem.Private, 1, false)
+		port := e.rt.Proc(0).Mem()
+		Install(port, e.base, e.reg, e.main, 2)
+		port.Write(frameAddr(e.base, 1)+framePendingOff, pendingLive)
+		port.FlushFence(frameAddr(e.base, 1) + framePendingOff)
+		e.rt.Proc(0).ArmCrashAfter(k)
+		e.rt.RunToCompletion(func(int) proc.Program {
+			return func(p *proc.Proc) { NewMachine(p, e.reg, e.base).Run() }
+		})
+		if got := e.rt.Mem().VisibleWord(e.cell); got != 2 {
+			t.Fatalf("crash@%d: acc=%d, want 2", k, got)
+		}
 	}
 }
 

@@ -103,31 +103,14 @@ type Machine struct {
 	// escape and cost one allocation per capsule.
 	ctx Ctx
 
-	// Read-only tier state (volatile, rebuilt on reload).
-	//
 	// effectsAt snapshots the port's persistent-effect counter at the
 	// last *persisted* commit (boundary, call, return, finish, or
-	// reload). A terminal's RO variant elides its persistence exactly
-	// when the counter has not moved since: the machine gave the memory
-	// nothing to persist, so a crash replaying from the last persisted
-	// boundary re-runs only reads — externally invisible.
+	// reload); volatile, rebuilt on reload. BoundaryRO elides its
+	// persistence exactly when the counter has not moved since: the
+	// machine gave the memory nothing to persist, so a crash replaying
+	// from the last persisted boundary re-runs only reads — externally
+	// invisible.
 	effectsAt uint64
-	// staleLive records that the Return into the current frame was
-	// elided: the frame's persisted live bit still names the callee. The
-	// next persisted commit at the current depth clears it in the
-	// control-word line it flushes anyway, and Call clears it before
-	// initializing a callee frame the stale bit would make live.
-	staleLive bool
-	// roCall marks frames created by CallRO: fully volatile callees
-	// (no persistent frame, no pending word). Their return delivery and
-	// continuation bookkeeping live in the machine, and any attempt to
-	// persist state at such a depth panics — a read-only callee must
-	// stay read-only.
-	roCall        [MaxDepth]bool
-	roCont        [MaxDepth]int
-	roRetN        [MaxDepth]int
-	roRetSlots    [MaxDepth][MaxRet]int
-	roCallerDirty [MaxDepth]uint32
 }
 
 // NewMachine creates a machine for process p whose capsule area starts
@@ -211,47 +194,15 @@ func InstallIdle(port *pmem.Port, base pmem.Addr, reg *Registry, rid RoutineID) 
 func (m *Machine) Run() []uint64 {
 	m.crashedCap = m.p.Crashed()
 	m.reload()
-	for {
-		d := m.depth
-		if m.pc[d] == PCDone {
-			if d != 0 {
-				panic("capsule: PCDone at depth > 0")
-			}
-			m.finished = true
-		}
-		if m.finished {
-			return m.rets
-		}
-		r := m.reg.Routine(m.rid[d])
-		pc := m.pc[d]
-		if pc < 0 || pc >= len(r.Caps) {
-			panic(fmt.Sprintf("capsule: routine %s pc %d out of range", r.Name, pc))
-		}
-		ctx := &m.ctx
-		*ctx = Ctx{m: m, dirty: m.carryDirty, effects0: m.mem.PersistEffects()}
-		m.carryDirty = 0
-		r.Caps[pc](ctx)
-		if !ctx.terminal {
-			panic(fmt.Sprintf("capsule: routine %s pc %d returned without a terminal op", r.Name, pc))
-		}
-		if ctx.committed {
-			// An elided terminal keeps the crashed flag: the restart
-			// point has not advanced, so the capsules that follow may
-			// still be repetitions of a crashed span.
-			m.crashedCap = false
-		}
-	}
+	m.runToCompletion()
+	return m.rets
 }
 
 // reload reconstructs the volatile caches from persistent memory after a
 // (re)start. It performs only reads, so it is trivially idempotent and
 // may itself be interrupted by further crashes.
 func (m *Machine) reload() {
-	for i := range m.volOK {
-		m.volOK[i] = false
-		m.roCall[i] = false
-	}
-	m.staleLive = false
+	m.volOK = [MaxDepth]bool{}
 	m.effectsAt = m.mem.PersistEffects()
 	m.depth = m.activeDepth()
 	m.loadFrame(m.depth)
@@ -260,8 +211,8 @@ func (m *Machine) reload() {
 // activeDepth finds the frame to resume by following callee-live bits
 // from depth 0: at most MaxDepth frames, so recovery delay stays
 // constant. A compact frame ends the walk with its pending word unread:
-// it cannot call, and the word may hold a stale bit from a full routine
-// that used the frame before.
+// it cannot call, and compact boundaries never write that word, so it
+// may still hold the bit of a full routine abandoned there mid-call.
 func (m *Machine) activeDepth() int {
 	for d := 0; d < MaxDepth; d++ {
 		fr := frameAddr(m.base, d)
@@ -309,25 +260,6 @@ func (m *Machine) loadFrame(d int) {
 	m.volOK[d] = true
 }
 
-// loadFrameMidCall reconstructs the volatile cache of a caller frame
-// whose callee is returning through an elided (read-only) Return: the
-// pending-word commit never happened, so slot validity follows the
-// *pending* mask — the Call persisted the caller's dirty slots into the
-// pending copies, and the return slots plus the sequence number are
-// overwritten by the elided delivery immediately after this load.
-// Callers with an in-flight Call are always full-frame (Call from a
-// compact routine is unsupported).
-func (m *Machine) loadFrameMidCall(d, contPC int, pmask uint32) {
-	fr := frameAddr(m.base, d)
-	m.rid[d] = RoutineID(m.mem.Read(fr + frameHdrOff))
-	m.mask[d] = pmask
-	for s := 0; s < MaxSlots; s++ {
-		m.vol[d][s] = m.mem.Read(slotAddr(fr, s, pmask>>s&1))
-	}
-	m.pc[d] = contPC
-	m.volOK[d] = true
-}
-
 func (m *Machine) routine(d int) *Routine { return m.reg.Routine(m.rid[d]) }
 
 // Invoke runs routine rid as a fresh depth-0 invocation starting at
@@ -364,11 +296,8 @@ func (m *Machine) Invoke(rid RoutineID, entry int, args ...uint64) []uint64 {
 	if m.rid[0] != rid {
 		// Routine change: persist the header before any control word
 		// that relies on it for layout parsing, then take the full
-		// reset path. A live bit left by an elided return goes first
-		// (same line, so it persists first): the new routine may be
-		// compact, whose boundaries never clear it.
+		// reset path.
 		fr := frameAddr(m.base, 0)
-		m.clearStaleLive(fr)
 		m.mem.Write(fr+frameHdrOff, uint64(rid))
 		m.mem.Flush(fr)
 		m.mem.Fence()
@@ -400,38 +329,49 @@ func (m *Machine) Invoke(rid RoutineID, entry int, args ...uint64) []uint64 {
 	m.finishedLight = false
 	// Restart the read-only tier's clean span at the op boundary: the
 	// previous operation's effects belong to *it*, not to this one, so
-	// they must not demote this operation's read-only capsules. This is
-	// sound under Invoke's crash semantics: an elided first boundary
-	// means a crash resumes the *previous* operation's last persisted
-	// capsule (whose repetition light Invoke already requires to be
-	// idempotent — it is how an interrupted op is finished on re-entry)
-	// and this operation is lost as if never invoked, which the light
-	// reset's contract declares indistinguishable from crashing just
-	// before Invoke.
+	// they must not demote this operation's read-only capsules. An
+	// elided first boundary means a crash re-runs the last persisted
+	// capsule of an *earlier* operation. That is sound while this
+	// operation stays read-only. If it writes after the elided boundary
+	// and completes volatilely, nothing records it, and a later crash
+	// can re-run the earlier operation's write over it (DESIGN.md, "The
+	// read-only fast lane").
 	m.effectsAt = m.mem.PersistEffects()
 	m.runToCompletion()
 	m.light = false
 	return m.rets
 }
 
-// runToCompletion drives the current frame until its routine finishes.
+// runToCompletion drives the current frame until the depth-0 routine
+// finishes, leaving its Finish values in m.rets (nil when the persisted
+// state was already PCDone).
 func (m *Machine) runToCompletion() {
 	m.finished = false
 	m.rets = nil
 	for !m.finished {
 		d := m.depth
-		if m.pc[d] == PCDone {
-			break
+		pc := m.pc[d]
+		if pc == PCDone {
+			if d != 0 {
+				panic("capsule: PCDone at depth > 0")
+			}
+			return
 		}
 		r := m.reg.Routine(m.rid[d])
+		if pc < 0 || pc >= len(r.Caps) {
+			panic(fmt.Sprintf("capsule: routine %s pc %d out of range", r.Name, pc))
+		}
 		ctx := &m.ctx
 		*ctx = Ctx{m: m, dirty: m.carryDirty, effects0: m.mem.PersistEffects()}
 		m.carryDirty = 0
-		r.Caps[m.pc[d]](ctx)
+		r.Caps[pc](ctx)
 		if !ctx.terminal {
-			panic("capsule: routine " + r.Name + " returned without a terminal op")
+			panic(fmt.Sprintf("capsule: routine %s pc %d returned without a terminal op", r.Name, pc))
 		}
 		if ctx.committed {
+			// An elided terminal keeps the crashed flag: the restart
+			// point has not advanced, so the capsules that follow may
+			// still be repetitions of a crashed span.
 			m.crashedCap = false
 		}
 	}

@@ -110,9 +110,11 @@ func probeWriteOp(e *roEnv) RoutineID {
 }
 
 // readOnlyOp is the pure-lookup op: a single declared read-only capsule
-// whose Return is elided (DoneRO).
-func readOnlyOp(e *roEnv) RoutineID {
-	return e.reg.Register("lookup", false,
+// completing with DoneRO, which at depth > 0 commits like Return.
+func readOnlyOp(e *roEnv) RoutineID { return lookupOp(e, false) }
+
+func lookupOp(e *roEnv, compact bool) RoutineID {
+	return e.reg.Register("lookup", compact,
 		func(c *Ctx) {
 			c.ReadOnly()
 			i := c.Local(roOpArg)
@@ -202,89 +204,34 @@ func TestElidedBoundaryCrashSweep(t *testing.T) {
 	}
 }
 
-// TestElidedReturnCrashSweep sweeps crashes over the pure-lookup op:
-// DoneRO elides the whole Return commit, so the driver's accounting
-// boundary both persists the delivered value and clears the driver's
-// live bit. Exactness across every crash point pins the deferred clear
-// (the Call-straight-after-an-elided-return path has its own sweep,
-// TestCallAfterElidedReturnCrashSweep).
+// TestElidedReturnCrashSweep pins that a depth-1 DoneRO commits: the
+// pure-lookup op's completion elides nothing, and the sweep over every
+// crash point stays exact.
 func TestElidedReturnCrashSweep(t *testing.T) {
 	const n = 4
-	for _, mode := range []pmem.Mode{pmem.Private, pmem.Shared} {
-		e := newROEnv(mode, 1, n, readOnlyOp)
-		e.install()
-		rets := e.run()
-		if len(rets) != 1 || rets[0] != wantSum(n) {
-			t.Fatalf("mode=%v: rets=%v, want [%d]", mode, rets, wantSum(n))
-		}
-		st := e.rt.Proc(0).Mem().Stats
-		if st.BoundariesElided < n {
-			t.Fatalf("mode=%v: only %d elided terminals, want >= %d", mode, st.BoundariesElided, n)
-		}
-		total := int64(e.rt.Proc(0).Mem().Stats.Steps)
-		for k := int64(1); k <= total; k++ {
-			e := newROEnv(mode, k, n, readOnlyOp)
-			e.install()
-			e.rt.SystemCrashMode = mode == pmem.Shared
-			e.rt.Proc(0).ArmCrashAfter(k)
-			rets := e.run()
-			e.checkFinal(t, fmt.Sprintf("mode=%v crash@%d", mode, k), wantSum(n), rets)
-		}
+	e := newROEnv(pmem.Shared, 1, n, readOnlyOp)
+	e.install()
+	e.run()
+	st := e.rt.Proc(0).Mem().Stats
+	// Per op: the Call, the DoneRO return and the accounting boundary;
+	// plus the Finish.
+	if st.BoundariesElided != 0 || st.Boundaries != 3*n+1 {
+		t.Fatalf("boundaries %d persisted, %d elided; want %d persisted, none elided",
+			st.Boundaries, st.BoundariesElided, 3*n+1)
 	}
+	sweepLive(t, wantSum(n), func(mode pmem.Mode, seed int64) *roEnv {
+		return newROEnv(mode, seed, n, readOnlyOp)
+	})
 }
 
-// TestCallROCrashSweep drives the lookup through CallRO: the call is
-// fully volatile, so a crash anywhere inside the callee resumes the
-// caller's last persisted boundary and re-runs the span.
+// TestCallROCrashSweep sweeps a compact declared read-only callee, the
+// probe-helper shape, reached through Call: its DoneRO commits like any
+// Return, and every crash point stays exact.
 func TestCallROCrashSweep(t *testing.T) {
 	const n = 4
-	mk := func(mode pmem.Mode, seed int64) *roEnv {
-		mem := pmem.New(pmem.Config{Words: 1 << 14, Mode: mode, Checked: true, Seed: seed})
-		e := &roEnv{rt: proc.NewRuntime(mem, 1)}
-		e.tab = mem.AllocLines(1)
-		e.base = AllocProcAreas(mem, 1)[0]
-		e.reg = NewRegistry()
-		setup := mem.NewPort()
-		for i := uint64(0); i < 8; i++ {
-			setup.Write(e.tab+pmem.Addr(i), 100+i)
-		}
-		setup.FlushRange(e.tab, 8)
-		setup.Fence()
-		op := readOnlyOp(e)
-		e.drv = e.reg.Register("ro-call-driver", false,
-			func(c *Ctx) { // pc0: dispatch through the volatile call
-				i := c.Local(roDrvIdx)
-				if i >= n {
-					c.Finish(c.Local(roDrvAcc))
-					return
-				}
-				c.CallRO(op, 0, 1, []uint64{i}, []int{roDrvRet})
-			},
-			func(c *Ctx) { // pc1: account and loop
-				c.SetLocal(roDrvAcc, c.Local(roDrvAcc)+c.Local(roDrvRet))
-				c.SetLocal(roDrvIdx, c.Local(roDrvIdx)+1)
-				c.Boundary(0)
-			},
-		)
-		return e
-	}
-	for _, mode := range []pmem.Mode{pmem.Private, pmem.Shared} {
-		e := mk(mode, 1)
-		e.install()
-		rets := e.run()
-		if len(rets) != 1 || rets[0] != wantSum(n) {
-			t.Fatalf("mode=%v: rets=%v, want [%d]", mode, rets, wantSum(n))
-		}
-		total := int64(e.rt.Proc(0).Mem().Stats.Steps)
-		for k := int64(1); k <= total; k++ {
-			e := mk(mode, k)
-			e.install()
-			e.rt.SystemCrashMode = mode == pmem.Shared
-			e.rt.Proc(0).ArmCrashAfter(k)
-			rets := e.run()
-			e.checkFinal(t, fmt.Sprintf("mode=%v crash@%d", mode, k), wantSum(n), rets)
-		}
-	}
+	sweepLive(t, wantSum(n), func(mode pmem.Mode, seed int64) *roEnv {
+		return newROEnv(mode, seed, n, func(e *roEnv) RoutineID { return lookupOp(e, true) })
+	})
 }
 
 // TestElidedBoundaryResumesFromPersisted pins the core recovery
@@ -384,9 +331,8 @@ func TestReadOnlyViolationPanics(t *testing.T) {
 	})
 }
 
-// TestCallROEffectPanics pins the companion guard on volatile calls: a
-// callee reached through CallRO must stay effect-free through its
-// Return.
+// TestCallROEffectPanics pins the checked-mode guard at a Return: a
+// callee capsule declared read-only that writes panics at its Return.
 func TestCallROEffectPanics(t *testing.T) {
 	mem := pmem.New(pmem.Config{Words: 1 << 14, Mode: pmem.Shared, Checked: true})
 	rt := proc.NewRuntime(mem, 1)
@@ -395,12 +341,13 @@ func TestCallROEffectPanics(t *testing.T) {
 	reg := NewRegistry()
 	callee := reg.Register("effectful", false,
 		func(c *Ctx) {
+			c.ReadOnly()
 			c.Mem().Write(cell, 1)
 			c.Return(0)
 		},
 	)
 	main := reg.Register("bad-caller", false,
-		func(c *Ctx) { c.CallRO(callee, 0, 1, nil, []int{2}) },
+		func(c *Ctx) { c.Call(callee, 0, 1, nil, []int{2}) },
 		func(c *Ctx) { c.Finish() },
 	)
 	Install(rt.Proc(0).Mem(), base, reg, main)

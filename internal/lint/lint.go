@@ -34,9 +34,6 @@
 //     FlushFence / PersistEpoch on the same path in the function.
 //   - //persist:fence — on an intra-package wrapper that issues a
 //     fence; fenceorder accepts it as a dominator.
-//   - //persist:readonly — on a function that is a read-only-tier
-//     routine body (roots ropurity even when the Ctx.ReadOnly call is
-//     made elsewhere, e.g. a routine invoked through CallRO).
 //   - //persist:ro-fallback — on a statement marking the documented
 //     demotion path inside a read-only-reachable function, where
 //     persistent effects are permitted (e.g. pmap.find's claim CAS).

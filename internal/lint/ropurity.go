@@ -7,10 +7,8 @@ import (
 
 // RoPurity checks that the read-only capsule tier is free of persistent
 // effects. A function roots the check when it calls capsule.Ctx.ReadOnly
-// (entering the RO tier, whose capsule boundaries skip the persist) or
-// when its declaration carries //persist:readonly (a routine body that
-// runs inside someone else's RO tier, e.g. through Ctx.CallRO). From
-// each root the analyzer walks the intra-package call graph and flags
+// (entering the RO tier, whose capsule boundaries skip the persist).
+// From each root the analyzer walks the intra-package call graph and flags
 // every reachable persistent-effect call — pmem.Port writes, flushes
 // and fences, recoverable/writable-CAS operations, packed-pool
 // mutations — unless the call sits under a statement annotated
@@ -35,10 +33,6 @@ func runRoPurity(pass *Pass) error {
 	// Roots: RO-tier entry points.
 	rootName := make(map[types.Object]string)
 	for obj, fd := range decls {
-		if pass.DeclDirective(obj, "persist:readonly") {
-			rootName[obj] = obj.Name()
-			continue
-		}
 		entered := false
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if entered {

@@ -3,10 +3,8 @@ package capsule
 
 type Ctx struct{ ro bool }
 
-func (c *Ctx) ReadOnly()       { c.ro = true }
-func (c *Ctx) BoundaryRO()     {}
-func (c *Ctx) CallRO(f func()) { f() }
-func (c *Ctx) ReturnRO()       {}
-func (c *Ctx) DoneRO()         {}
-func (c *Ctx) Boundary()       {}
-func (c *Ctx) Done()           {}
+func (c *Ctx) ReadOnly()   { c.ro = true }
+func (c *Ctx) BoundaryRO() {}
+func (c *Ctx) DoneRO()     {}
+func (c *Ctx) Boundary()   {}
+func (c *Ctx) Done()       {}

@@ -48,14 +48,6 @@ func (m *pmap) findFallback(a pmem.Addr) uint64 {
 	return v
 }
 
-// routineRO runs inside someone else's RO tier (through Ctx.CallRO);
-// the declaration directive roots it even without a ReadOnly call.
-//
-//persist:readonly
-func (m *pmap) routineRO(a pmem.Addr) {
-	m.port.Write(a, 1) // want `persistent effect pmem\.Port\.Write is reachable from read-only-tier function routineRO`
-}
-
 // mutate is never reached from an RO root: effects are fine.
 func (m *pmap) mutate(a pmem.Addr) {
 	m.port.Write(a, 1)

@@ -399,13 +399,14 @@ func (m *Map) find(pid int, k uint64, claim bool) (si int, bucket uint32, ok boo
 func packLoc(si int, b uint32) uint64  { return uint64(si)<<32 | uint64(b) }
 func unpackLoc(w uint64) (int, uint32) { return int(w >> 32), uint32(w) }
 
-// getCap is the fully read-only lookup: volatile probe, volatile value
-// resolution, and an elided completion — zero flushes, fences, CASes
-// and persisted boundaries per Get. A crash anywhere inside it (or
-// before the caller's next persisted commit) erases every trace of the
-// lookup, and its re-execution is a fresh, equally valid
-// linearization; see the wcas.ReadVolatile invariant for why the value
-// may be acted on only volatilely.
+// getCap is the fully read-only lookup: volatile probe and volatile
+// value resolution. Under a light Invoke at depth 0 its completion is
+// volatile too — zero flushes, fences, CASes and persisted boundaries
+// per Get; a crash anywhere inside it erases every trace of the lookup,
+// and its re-execution is a fresh, equally valid linearization. Called
+// at depth > 0 it returns with an ordinary committed Return. See the
+// wcas.ReadVolatile invariant for why the value may be acted on only
+// volatilely.
 func (m *Map) getCap(c *capsule.Ctx) {
 	c.ReadOnly()
 	k := c.Local(sKey)
@@ -413,15 +414,15 @@ func (m *Map) getCap(c *capsule.Ctx) {
 	pid := c.P().ID()
 	si, b, ok := m.find(pid, k, false)
 	if !ok {
-		c.DoneRO(0, 0)
+		c.Done(0, 0)
 		return
 	}
 	v := m.hs[pid][si].ReadVolatile(valObj(b))
 	if v == 0 {
-		c.DoneRO(0, 0)
+		c.Done(0, 0)
 		return
 	}
-	c.DoneRO(1, v-1)
+	c.Done(1, v-1)
 }
 
 // putProbe (and the other probe capsules below) ride the read-only
@@ -456,7 +457,7 @@ func (m *Map) delProbe(c *capsule.Ctx) {
 	checkKV(k, 0)
 	si, b, ok := m.find(c.P().ID(), k, false)
 	if !ok {
-		c.DoneRO(0) // absent: the whole Delete was a pure read
+		c.Done(0) // absent: the whole Delete was a pure read
 		return
 	}
 	c.SetLocal(sLoc, packLoc(si, b))
@@ -478,7 +479,7 @@ func (m *Map) casProbe(c *capsule.Ctx) {
 	checkKV(k, c.Local(sVal))
 	si, b, ok := m.find(c.P().ID(), k, false)
 	if !ok {
-		c.DoneRO(0) // absent: the whole Cas was a pure read
+		c.Done(0) // absent: the whole Cas was a pure read
 		return
 	}
 	c.SetLocal(sLoc, packLoc(si, b))

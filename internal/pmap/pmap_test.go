@@ -300,12 +300,6 @@ func TestGeometryRounding(t *testing.T) {
 	}
 }
 
-// TestPutCoalescesFlushes pins the write-combining layer on the map's
-// Put path: over full two-copy frames, the probe capsule's boundary
-// persists the key, value and resolved-bucket locals with one flush per
-// written word, and the same-line repeats coalesce — so effective
-// flushes per Put are strictly below issued flushes, where before the
-// layer the two were equal by definition.
 // TestGetPersistenceFree pins the read-only fast lane's acceptance
 // property end-to-end: a Get — probe, value resolution and completion
 // included — issues zero writes, CASes, flushes, fences and persisted
@@ -342,7 +336,7 @@ func TestGetPersistenceFree(t *testing.T) {
 		// completion, which counts in neither boundary stat — a benched
 		// Get is invisible to the persistence accounting entirely. (In
 		// the Call-driven crash-stress shape the same Get ends in an
-		// elided ReturnRO, which does count as elided.)
+		// ordinary committed Return.)
 		if st.BoundariesElided != before.BoundariesElided {
 			t.Fatalf("opt=%v: light Gets counted %d elided terminals, want 0",
 				opt, st.BoundariesElided-before.BoundariesElided)
@@ -350,6 +344,12 @@ func TestGetPersistenceFree(t *testing.T) {
 	}
 }
 
+// TestPutCoalescesFlushes pins the write-combining layer on the map's
+// Put path: over full two-copy frames, the probe capsule's boundary
+// persists the key, value and resolved-bucket locals with one flush per
+// written word, and the same-line repeats coalesce — so effective
+// flushes per Put are strictly below issued flushes, where before the
+// layer the two were equal by definition.
 func TestPutCoalescesFlushes(t *testing.T) {
 	rt, m, ms := fixture(t, Config{P: 1, Buckets: 128, Opt: false, Durable: true}, nil)
 	mc := ms[0]

@@ -191,14 +191,12 @@ func (b *base) free(c *capsule.Ctx, n uint32, nx uint64) {
 	b.h[pid].pa.Free(p, n, link)
 }
 
-// anonSeq produces a sequence number for anonymous helping CASes. It
-// mixes the persisted capsule sequence number with a volatile counter;
-// anonymous CASes may repeat and need no recovery, only (alias, seq)
-// freshness against in-flight expectations (Section 7).
+// anonSeq produces a sequence number for anonymous helping CASes from
+// the process's volatile counter (see rcas.AnonTag).
 func (b *base) anonSeq(c *capsule.Ctx) uint64 {
 	h := b.h[c.P().ID()]
 	h.anonCtr++
-	return (c.Seq()*64 + h.anonCtr&63) & rcas.MaxSeq
+	return rcas.AnonTag(c.Seq(), h.anonCtr)
 }
 
 // flushDequeue schedules, under manual durability, the write-backs a

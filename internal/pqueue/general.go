@@ -190,10 +190,8 @@ func (g *General) deqReadPhase(c *capsule.Ctx) {
 		}
 		if rcas.Val(h) == rcas.Val(t) {
 			if rcas.Val(nx) == 0 {
-				// Empty; linearizes at the read of nx. DoneRO elides the
-				// completion only when the capsule was effect-free (see the
-				// normalized variant for the soundness note).
-				c.DoneRO(0, 0)
+				// Empty; linearizes at the read of nx.
+				c.Done(0, 0)
 				return
 			}
 			c.SetLocal(gdT, t)

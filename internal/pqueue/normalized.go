@@ -163,15 +163,11 @@ func (n *Normalized) deqGenerate(c *capsule.Ctx) {
 		if rcas.Val(h) == rcas.Val(t) {
 			if rcas.Val(nx) == 0 {
 				// Empty result: linearizes at the read of nx and needs no
-				// CAS. DoneRO rides the read-only tier — it elides the
-				// completion only when the capsule issued no persistent
-				// effect (no helping CAS landed, no durable flush), in
-				// which case re-executing the observation after a crash
-				// is a fresh, equally valid linearization. This and the
-				// stack's empty pop are the only queue-family elision
-				// points: every generator boundary ahead of a recoverable
-				// CAS must persist (see DESIGN.md).
-				c.DoneRO(0, 0)
+				// CAS. Its completion is an ordinary Done, volatile only
+				// under a light Invoke at depth 0; every generator
+				// boundary ahead of a recoverable CAS must persist (see
+				// DESIGN.md, "Where elision is impermissible").
+				c.Done(0, 0)
 				return
 			}
 			if n.Durable {

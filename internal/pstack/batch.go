@@ -58,7 +58,7 @@ func (s *Stack) batchPush(c *capsule.Ctx, pool *qnode.PackedPool, vals []uint64)
 		ns[i] = pool.Alloc()
 	}
 	s.seqCtr[pid]++
-	seq := (c.Seq()*64 + s.seqCtr[pid]&63) & rcas.MaxSeq
+	seq := rcas.AnonTag(c.Seq(), s.seqCtr[pid])
 	// Intra-chain links and values; the bottom link is written per
 	// swing attempt below.
 	for i, n := range ns {

@@ -248,26 +248,19 @@ func (s *Stack) popGen(c *capsule.Ctx) {
 // popGenerate reads the top node and persists the pop-CAS descriptor;
 // returns false if it already terminated (empty stack).
 //
-// The empty-result completion rides the capsule read-only tier
-// (DoneRO): observing an empty stack is a pure read, and re-executing
-// the observation after a crash is a fresh, equally valid
-// linearization. This is the *only* part of the stack that may elide —
-// a generator boundary before the executor must persist, because the
+// The empty-result completion is an ordinary Done: observing an empty
+// stack is a pure read, volatile only under a light Invoke at depth 0.
+// A generator boundary before the executor must persist, because the
 // executor's CheckRecovery depends on the exact descriptor and
 // sequence number the generator persisted: an elided boundary would
 // re-run the generator against the post-CAS state and regenerate
 // against the wrong node (see DESIGN.md, "Where elision is
-// impermissible"). DoneRO enforces this soundly by construction: it
-// elides only when the span since the last persisted commit had zero
-// persistent effects. After a failed executor attempt that can hold (a
-// failed recoverable CAS only reads), and it is still sound: a crash
-// re-runs the executor from the persisted descriptor and sequence
-// number, whose CheckRecovery finds no success and whose CAS fails again.
+// impermissible").
 func (s *Stack) popGenerate(c *capsule.Ctx) bool {
 	p := c.Mem()
 	top := s.space.ReadFull(p, s.top)
 	if rcas.Val(top) == 0 {
-		c.DoneRO(0, 0)
+		c.Done(0, 0)
 		return false
 	}
 	// A reachable node is durable, so its link and value need no flush.

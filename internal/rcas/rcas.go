@@ -128,6 +128,17 @@ type CasSpace interface {
 // Alias returns the anonymous alias id of process pid.
 func Alias(pid, P int) int { return P + pid }
 
+// AnonTag is the sequence number of an anonymous CAS (Section 7): the
+// caller's persisted capsule sequence number times 64 plus the low six
+// bits of a volatile per-process counter ctr, which the caller bumps
+// once per tag. Anonymous CASes may repeat and need no recovery, only
+// (alias, seq) freshness against in-flight expectations; a capsule gets
+// 64 distinct tags. The tag wraps silently once capsuleSeq reaches
+// 2^(SeqBits-6), unlike Pack, which panics past MaxSeq.
+func AnonTag(capsuleSeq, ctr uint64) uint64 {
+	return (capsuleSeq*64 + ctr&63) & MaxSeq
+}
+
 // InitCell initializes a cell to ⟨val, pid, seq⟩ with a plain write;
 // valid only while the cell is unreachable by other processes (e.g. a
 // private node being prepared). Using the owner's alias with a fresh

@@ -49,6 +49,30 @@ func TestAlias(t *testing.T) {
 	}
 }
 
+// TestAnonTag pins the anonymous tag's shape: 64 distinct tags per
+// capsule seq, none shared with a neighbouring seq, every tag packable,
+// and a silent wrap after anonWrapSeqs capsule seqs.
+func TestAnonTag(t *testing.T) {
+	const anonWrapSeqs = 1 << 22 // 2^28 tag space / 64 tags per seq
+	for _, seq := range []uint64{0, 1, anonWrapSeqs / 2, anonWrapSeqs - 1} {
+		seen := make(map[uint64]bool)
+		for ctr := uint64(0); ctr < 128; ctr++ {
+			tag := AnonTag(seq, ctr)
+			if tag/64 != seq {
+				t.Fatalf("AnonTag(%d, %d) = %d belongs to seq %d", seq, ctr, tag, tag/64)
+			}
+			Pack(0, 0, tag)
+			seen[tag] = true
+		}
+		if len(seen) != 64 {
+			t.Fatalf("seq %d: %d distinct tags, want 64", seq, len(seen))
+		}
+	}
+	if got := AnonTag(anonWrapSeqs+5, 7); got != AnonTag(5, 7) {
+		t.Fatalf("AnonTag past the wrap = %d, want %d (seq %d again)", got, AnonTag(5, 7), 5)
+	}
+}
+
 // spaces builds both implementations for table-driven tests.
 func spaces(mem *pmem.Memory, P int) map[string]CasSpace {
 	return map[string]CasSpace{
