@@ -17,6 +17,7 @@ lint:
 race:
 	go test -race -short ./...
 	go test -race -count=1 ./internal/history ./internal/ingress
+	go test -race -count=10 -run 'TestRing' ./internal/ingress
 
 # loc prints the non-blank, non-comment source line count outside bench/,
 # tests and lint fixtures: the number simplification PRs are measured by.

@@ -6,15 +6,16 @@
 // otherwise pays across BatchMax operations.
 //
 // The ring is Vyukov-style: a power-of-two array of cacheline-padded
-// cells, each carrying a ticket sequence number. Producers reserve a
-// position with a CAS on the tail ticket, gated on published consumer
-// progress so a reservation always lands on a free cell; the winner
-// then writes its record and releases the cell's sequence in host code
-// with no instrumented step in between, so a simulated crash (which
-// only fires at instrumented steps) can never strand a half-published
-// hole that would wedge the combiner. The consumer frees a cell
-// *before* publishing its new head, so passing the gate proves the
-// cell is writable.
+// cells, each carrying a ticket sequence number, and the cell's ticket
+// is the ring's only gate. Producers reserve a position with a CAS on
+// the tail ticket, taken only when the cell for that ticket is free;
+// the winner then writes its record and releases the cell's sequence in
+// host code with no instrumented step in between, so a simulated crash
+// (which only fires at instrumented steps) can never strand a
+// half-published hole that would wedge the combiner. The consumer keeps
+// its head private: a producer reads nothing the consumer writes but
+// the cell it is about to fill, so a hand-off costs one cross-core
+// line transfer per record.
 //
 // The ring lives in host (volatile) memory on purpose: its contents
 // are exactly the in-flight tail of each shard's batch, which a
@@ -49,11 +50,15 @@ const (
 )
 
 // Record is one published operation: the op code, the producing
-// process, up to two argument words, and the completion slot. Done is
-// nil for fire-and-forget producers (benchmarks); otherwise the
-// combiner stores Token into Done after the batch's durability point,
-// and the producer treats any other value — including a stale token
-// from an operation it abandoned — as "not mine".
+// process, up to two argument words, and the completion slot. Done may
+// be nil when nobody waits for the operation. Otherwise, after the
+// batch's durability point, the combiner stores into Done once per run
+// of consecutive acknowledged records that share it, and what it stores
+// is the run's last (highest) token. A cell may therefore be shared
+// only by operations whose tokens increase in publish order: the cell
+// then holds the highest token acknowledged so far. A producer
+// with one cell per operation treats any other value — including a
+// stale token from an operation it abandoned — as "not mine".
 type Record struct {
 	Op   uint8
 	Pid  int32
@@ -77,13 +82,12 @@ type cell struct {
 // exactly one goroutine may call Drain/Len. Reset is stopped-world
 // only.
 type Ring struct {
-	cells   []cell
-	mask    uint64
-	_       [48]byte // keep the hot tickets off the cells' lines
-	tail    atomic.Uint64
-	_       [56]byte
-	headPub atomic.Uint64
-	head    uint64 // consumer-private
+	cells []cell
+	mask  uint64
+	_     [48]byte // keep the hot ticket off the cells' lines
+	tail  atomic.Uint64
+	_     [56]byte
+	head  uint64 // consumer-private
 }
 
 // NewRing builds a ring with the given capacity, rounded up to a power
@@ -108,13 +112,14 @@ func (r *Ring) Cap() int { return len(r.cells) }
 // callers spin).
 func (r *Ring) TryPublish(rec Record) bool {
 	t := r.tail.Load()
-	if t-r.headPub.Load() >= uint64(len(r.cells)) {
-		return false
-	}
 	c := &r.cells[t&r.mask]
+	// The cell's ticket is the gate. seq == t only once Drain has copied
+	// the cell's previous record out and released it for ticket t, so
+	// passing proves the cell is writable. On a full ring the cell still
+	// reads t−len+1 (published, not drained) or t−len (reserved, not
+	// released). A stale t that does find its free cell loses the CAS
+	// below, because the tail only grows.
 	if c.seq.Load() != t {
-		// Gate passed on a stale tail read; the cell for the *current*
-		// tail may still be free — retry from a fresh load.
 		return false
 	}
 	if !r.tail.CompareAndSwap(t, t+1) {
@@ -148,9 +153,10 @@ func (r *Ring) Publish(rec Record, spin func()) {
 }
 
 // Drain moves up to len(buf) published records into buf, returning the
-// count. Consumer-only. A drained record is gone: the cell is freed
-// before the consumer's head advances, so the producer-side gate can
-// never admit a writer to a cell the consumer still needs.
+// count. Consumer-only. A drained record is gone: the cell's ticket is
+// advanced to head+len only after its record is copied out, so the
+// producer-side gate can never admit a writer to a cell the consumer
+// still needs.
 func (r *Ring) Drain(buf []Record) int {
 	n := 0
 	for n < len(buf) {
@@ -162,7 +168,6 @@ func (r *Ring) Drain(buf []Record) int {
 		c.rec = Record{}
 		c.seq.Store(r.head + uint64(len(r.cells)))
 		r.head++
-		r.headPub.Store(r.head)
 		n++
 	}
 	return n
@@ -186,7 +191,6 @@ func (r *Ring) Reset() {
 		r.cells[i].seq.Store(uint64(i))
 	}
 	r.tail.Store(0)
-	r.headPub.Store(0)
 	r.head = 0
 }
 
@@ -343,10 +347,12 @@ func RegisterGroupCombiner(reg *capsule.Registry, name string, pool *Pool, shard
 	sh := pool.shards[shard]
 	var held []Record
 	var lastEpoch uint64
+	// ack stores each Done cell once per run of consecutive records that
+	// share it, with the run's last token (see Record).
 	ack := func(recs []Record) {
-		for i := range recs {
-			if recs[i].Done != nil {
-				recs[i].Done.Store(recs[i].Token)
+		for i, rec := range recs {
+			if rec.Done != nil && (i+1 == len(recs) || recs[i+1].Done != rec.Done) {
+				rec.Done.Store(rec.Token)
 			}
 		}
 	}

@@ -36,6 +36,9 @@ type policyRig struct {
 	closes  int
 	closed  int               // applies covered by a close so far
 	script  map[uint64]func() // combiner step count -> action, run inside that step
+	// shared, if set, is a completion cell the test hands to records
+	// itself; the close hook checks it like the per-token slots.
+	shared *atomic.Uint64
 	// onApply runs at apply entry n (0-based), before the batch is noted.
 	onApply func(n int, c *capsule.Ctx)
 	// onRestart runs on the combiner's goroutine after a crash, before
@@ -91,6 +94,11 @@ func newPolicyRig(t *testing.T, group bool) *policyRig {
 						}
 					}
 				}
+				if r.shared != nil {
+					if v := r.shared.Load(); v >= r.applies[r.closed].tokens[0] {
+						t.Errorf("shared cell holds token %d before its window's close returned", v)
+					}
+				}
 				if c.Mem().Stats.Fences != f0+1 {
 					t.Error("close hook's fence not counted")
 				}
@@ -115,11 +123,19 @@ func newPolicyRig(t *testing.T, group bool) *policyRig {
 	return r
 }
 
-// publish adds n records with fresh tokens and completion slots.
+// publish adds n records with fresh tokens, each with its own
+// completion slot.
 func (r *policyRig) publish(n int) {
 	for i := 0; i < n; i++ {
+		r.publishTo(&r.done[r.next])
+	}
+}
+
+// publishTo adds one record with a fresh token per cell given, in order.
+func (r *policyRig) publishTo(cells ...*atomic.Uint64) {
+	for _, done := range cells {
 		r.next++
-		if !r.ring.TryPublish(Record{Op: OpPut, A: uint64(r.next), Token: uint64(r.next), Done: &r.done[r.next-1]}) {
+		if !r.ring.TryPublish(Record{Op: OpPut, A: uint64(r.next), Token: uint64(r.next), Done: done}) {
 			r.t.Fatal("policy rig: ring full")
 		}
 	}
@@ -264,6 +280,68 @@ func TestCombinerDoesNotLinger(t *testing.T) {
 	}
 }
 
+// RegisterCombiner stores a Done cell once per run of consecutive
+// records sharing it, with the run's last token, and only after apply
+// returns: a batch on one cell leaves it at the batch's last token, and
+// interleaved cells A, A, B, A each end at their own last token.
+func TestCombinerSharedCells(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cells string // the batch's cell per record, in publish order
+	}{
+		{"one cell", "AAAA"},
+		{"interleaved", "AABA"},
+	} {
+		r := newPolicyRig(t, false)
+		cells := map[rune]*atomic.Uint64{'A': new(atomic.Uint64), 'B': new(atomic.Uint64)}
+		want := map[rune]uint64{}
+		for i, name := range tc.cells {
+			r.publishTo(cells[name])
+			want[name] = uint64(i + 1)
+		}
+		r.pool.MarkDone(0)
+		r.onApply = func(int, *capsule.Ctx) {
+			for name, cell := range cells {
+				if v := cell.Load(); v != 0 {
+					t.Errorf("%s: cell %c holds token %d before apply returned", tc.name, name, v)
+				}
+			}
+		}
+		r.run()
+		if len(r.applies) != 1 || len(r.applies[0].tokens) != len(tc.cells) {
+			t.Fatalf("%s: applies %+v, want one batch of %d", tc.name, r.applies, len(tc.cells))
+		}
+		for name, cell := range cells {
+			if got := cell.Load(); got != want[name] {
+				t.Errorf("%s: cell %c holds token %d, want %d", tc.name, name, got, want[name])
+			}
+		}
+	}
+}
+
+// A cell shared by every record of a held window stays below the
+// window's first token until its close returns (the rig's close hook
+// checks), then holds the window's last token.
+func TestGroupCombinerSharedCell(t *testing.T) {
+	r := newPolicyRig(t, true)
+	r.shared = new(atomic.Uint64)
+	for i := 0; i < 2*policyBatch+1; i++ {
+		r.publishTo(r.shared)
+	}
+	r.pool.MarkDone(0)
+	r.onApply = func(n int, c *capsule.Ctx) {
+		// Span 1 held tokens 1..4; span 2 closed and released 1..8.
+		if want := []uint64{0, 0, 2 * policyBatch}; n < len(want) && r.shared.Load() != want[n] {
+			t.Errorf("apply %d: shared cell holds %d, want %d", n, r.shared.Load(), want[n])
+		}
+	}
+	r.run()
+	if len(r.applies) != 3 || r.closes != 2 || r.shared.Load() != 2*policyBatch+1 {
+		t.Fatalf("applies=%d closes=%d shared=%d, want 3, 2 and token %d",
+			len(r.applies), r.closes, r.shared.Load(), 2*policyBatch+1)
+	}
+}
+
 // A cell that is reserved but not yet released counts in Len and is not
 // drainable: the combiner polls again and never applies an empty batch
 // (the rig's applier fails the test on one), in both registrations.
@@ -317,12 +395,80 @@ func TestGroupCombinerEpochDropsHeld(t *testing.T) {
 	}
 }
 
+// The cell ticket is the ring's only gate. Over four laps of a
+// capacity-4 ring, so every cell's ticket wraps: a full ring refuses a
+// publish, each Drain of one record admits exactly one publish, records
+// leave in publish order, and Len is exact at rest.
+func TestRingTicketGate(t *testing.T) {
+	r := NewRing(4)
+	capacity := uint64(r.Cap())
+	buf := make([]Record, 1)
+	var published, drained uint64
+	pub := func() bool {
+		if !r.TryPublish(Record{A: published}) {
+			return false
+		}
+		published++
+		return true
+	}
+	for published < capacity {
+		if !pub() {
+			t.Fatalf("empty ring refused publish %d", published)
+		}
+	}
+	for drained < 4*capacity {
+		if pub() {
+			t.Fatalf("full ring (Len %d) accepted ticket %d", r.Len(), published-1)
+		}
+		if r.Len() != int(capacity) {
+			t.Fatalf("full ring: Len = %d, want %d", r.Len(), capacity)
+		}
+		if r.Drain(buf) != 1 || buf[0].A != drained {
+			t.Fatalf("Drain(1) after %d drained: got record %d", drained, buf[0].A)
+		}
+		drained++
+		if r.Len() != int(capacity)-1 {
+			t.Fatalf("after Drain(1): Len = %d, want %d", r.Len(), capacity-1)
+		}
+		if !pub() {
+			t.Fatalf("ring with one free cell refused ticket %d", published)
+		}
+		if pub() {
+			t.Fatalf("ring with one free cell accepted two publishes (ticket %d)", published-1)
+		}
+	}
+	all := make([]Record, capacity)
+	if n := r.Drain(all); n != int(capacity) || r.Len() != 0 || r.Drain(all) != 0 {
+		t.Fatalf("draining a full ring: got %d, then Len = %d", n, r.Len())
+	}
+	for i, rec := range all {
+		if rec.A != drained+uint64(i) {
+			t.Fatalf("final drain: record %d at position %d, want %d", rec.A, i, drained+uint64(i))
+		}
+	}
+}
+
 // Len under concurrent publishers (run with -race): it never reports
 // fewer records than have been completely published and not yet drained,
 // so whatever Drain then returns was counted; and at rest it is exact.
 func TestRingLenConcurrentPublishers(t *testing.T) {
-	const producers, each = 4, 5000
-	r := NewRing(64)
+	checkConcurrentPublishers(t, 4, 5000, 64)
+}
+
+// Four producers on a capacity-2 ring lap each other and the consumer
+// constantly, so every cell's ticket is contended on every lap; still
+// each producer's records arrive in order, none lost or duplicated.
+func TestRingLappingPublishers(t *testing.T) {
+	checkConcurrentPublishers(t, 4, 2000, 2)
+}
+
+// checkConcurrentPublishers runs `producers` goroutines, each publishing
+// `each` records into one ring of the given capacity, against a draining
+// consumer. It checks per-producer FIFO order and that every record
+// arrives (so none is lost or duplicated), that Len never under-reports
+// or exceeds the capacity, and that Len is exact at rest.
+func checkConcurrentPublishers(t *testing.T, producers, each, capacity int) {
+	r := NewRing(capacity)
 	var published atomic.Int64
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -341,7 +487,7 @@ func TestRingLenConcurrentPublishers(t *testing.T) {
 		last[i] = -1
 	}
 	drained := int64(0)
-	for drained < producers*each {
+	for drained < int64(producers*each) {
 		p := published.Load()
 		l := int64(r.Len())
 		if l < p-drained {
@@ -363,6 +509,11 @@ func TestRingLenConcurrentPublishers(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	for p, l := range last {
+		if l != int64(each-1) {
+			t.Fatalf("producer %d: last record %d, want %d", p, l, each-1)
+		}
+	}
 	if r.Len() != 0 || r.Drain(buf) != 0 {
 		t.Fatalf("ring at rest: Len = %d, want 0 and an empty Drain", r.Len())
 	}
