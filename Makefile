@@ -1,6 +1,6 @@
 # Convenience targets; CI calls these (see .github/workflows/ci.yml).
 
-.PHONY: test lint race build loc
+.PHONY: test lint race build loc examples
 
 build:
 	go build ./...
@@ -13,6 +13,11 @@ test:
 lint:
 	go run ./cmd/persistlint ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
+
+# examples runs every program under examples/; each checks itself and
+# panics on a correctness violation.
+examples:
+	@for d in examples/*/; do echo "== $${d%/}"; go run ./$${d%/} || exit 1; done
 
 race:
 	go test -race -short ./...

@@ -3,11 +3,11 @@
 // repository's additional workload-family figures (map, stack) and the
 // recovery-latency study, on the simulated persistent-memory substrate.
 //
-// Figures and workload tunables are discovered through the workload
-// registry: registering a family contributes its figure and its flags
-// here without modification. Per-family flags (e.g. -seed-nodes,
-// -read-pct, -stack-seed) are generated from the registered parameter
-// definitions; booleans are 0/1 (e.g. -attiya 1).
+// Figures and workload tunables come from the tables in
+// internal/harness: a figure or a tunable added there shows up here
+// without modification. Per-family flags (e.g. -seed-nodes, -read-pct,
+// -stack-seed) are generated from the parameter table; booleans are 0/1
+// (e.g. -attiya 1).
 //
 // Usage:
 //
@@ -37,8 +37,8 @@ import (
 	"fmt"
 	"os"
 
+	"delayfree/internal/harness"
 	"delayfree/internal/workload"
-	_ "delayfree/internal/workload/all"
 )
 
 // sizes are the tunables that count something a run needs at least one
@@ -47,14 +47,14 @@ import (
 var sizes = map[string]bool{"map-keys": true, "map-shards": true, "batch-max": true, "ingress-shards": true}
 
 // checkParams rejects a tunable value no runner can use, naming its
-// flag; params holds every registered tunable.
+// flag; params holds every tunable.
 func checkParams(params workload.Params) error {
-	for _, p := range workload.ParamDefs() {
+	for _, p := range harness.Params() {
 		switch v := params[p.Name]; {
 		case v < 0:
-			// Every registered tunable is a count, percentage or 0/1
-			// flag; negative values would wrap through the families'
-			// uint32 conversions into absurd allocations.
+			// Every tunable is a count, percentage or 0/1 flag;
+			// negative values would wrap through the families' uint32
+			// conversions into absurd allocations.
 			return fmt.Errorf("-%s must be >= 0 (got %d)", p.Name, v)
 		case v == 0 && sizes[p.Name]:
 			return fmt.Errorf("-%s must be >= 1 (got 0)", p.Name)
@@ -72,21 +72,21 @@ func main() {
 	jsonPath := flag.String("json", "", "write machine-readable results to this file")
 	list := flag.Bool("list", false, "list registered figures and their points, then exit")
 
-	// Per-family tunables come from the registry.
+	// Per-family tunables come from the parameter table.
 	paramFlags := map[string]*int64{}
-	for _, p := range workload.ParamDefs() {
+	for _, p := range harness.Params() {
 		paramFlags[p.Name] = flag.Int64(p.Name, p.Default, p.Help)
 	}
 	flag.Parse()
 
-	figures := workload.Figures()
+	figures := harness.Figures()
 	if *list {
-		for _, name := range workload.FigureNames() {
-			labels := make([]string, len(figures[name]))
-			for i, p := range figures[name] {
+		for _, f := range figures {
+			labels := make([]string, len(f.Points))
+			for i, p := range f.Points {
 				labels[i] = p.Label
 			}
-			fmt.Printf("%-10s %v\n", name, labels)
+			fmt.Printf("%-10s %v\n", f.Name, labels)
 		}
 		return
 	}
@@ -114,42 +114,51 @@ func main() {
 		threads = append(threads, t)
 	}
 
-	var figNames []string
+	recovery := func() {
+		probes := harness.Probes()
+		workload.PrintRecovery(os.Stdout, probes, workload.RecoveryStudy(probes, []uint32{0, 10, 100, 1000, 10000, 100000}))
+	}
+	var selected []workload.Figure
 	switch *fig {
 	case "recovery":
 		if *jsonPath != "" {
 			fmt.Fprintln(os.Stderr, "-json covers figure sweeps; it is not supported with -fig recovery")
 			os.Exit(2)
 		}
-		workload.PrintRecovery(os.Stdout, workload.RecoveryStudy([]uint32{0, 10, 100, 1000, 10000, 100000}))
+		recovery()
 		return
 	case "all":
-		figNames = workload.FigureNames()
+		selected = figures
 	default:
-		figNames = []string{*fig}
+		names := make([]string, len(figures))
+		for i, f := range figures {
+			names[i] = f.Name
+			if f.Name == *fig {
+				selected = []workload.Figure{f}
+			}
+		}
+		if selected == nil {
+			fmt.Fprintf(os.Stderr, "unknown figure %q (registered: %v)\n", *fig, names)
+			os.Exit(2)
+		}
 	}
 
 	results := map[string][]workload.Result{}
-	for _, name := range figNames {
-		points, ok := figures[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown figure %q (registered: %v)\n", name, workload.FigureNames())
-			os.Exit(2)
-		}
-		res, err := workload.Sweep(points, threads, cfg)
+	for _, f := range selected {
+		res, err := workload.Sweep(harness.Run, f.Points, threads, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		results[name] = res
-		workload.PrintTable(os.Stdout, "Figure "+name, res)
+		results[f.Name] = res
+		workload.PrintTable(os.Stdout, "Figure "+f.Name, res)
 	}
 	if *fig == "all" {
-		workload.PrintRecovery(os.Stdout, workload.RecoveryStudy([]uint32{0, 10, 100, 1000, 10000, 100000}))
+		recovery()
 	}
 
 	if *jsonPath != "" {
-		out, err := workload.JSONReport(figNames, results)
+		out, err := workload.JSONReport(harness.Kinds(), selected, results)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

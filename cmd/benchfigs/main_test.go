@@ -4,14 +4,15 @@ import (
 	"strings"
 	"testing"
 
+	"delayfree/internal/harness"
 	"delayfree/internal/workload"
 )
 
-// defaults returns every registered tunable at its default, as the
-// flags start out.
+// defaults returns every tunable at its default, as the flags start
+// out.
 func defaults() workload.Params {
 	out := workload.Params{}
-	for _, p := range workload.ParamDefs() {
+	for _, p := range harness.Params() {
 		out[p.Name] = p.Default
 	}
 	return out

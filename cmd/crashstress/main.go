@@ -1,6 +1,6 @@
 // Command crashstress is a long-running crash-injection validator: it
-// runs every crash-stress driver registered with the workload registry
-// under randomized crashes in both failure models — independent process
+// runs every crash-stress driver in the harness stresser table under
+// randomized crashes in both failure models — independent process
 // crashes in the private model and full-system crashes in the
 // shared-cache model — and checks exactness: every process completes
 // every operation exactly once, nothing is lost, duplicated or
@@ -8,9 +8,8 @@
 // checks conservation over the persisted driver accounting; the map
 // family replays a shadow model against the recovered contents.
 //
-// Workload families are discovered through the registry, never
-// switch-cased here: registering a new family's stresser makes this
-// command stress it.
+// Workload families come from that table, never switch-cased here:
+// adding a new family's stresser to it makes this command stress it.
 //
 // The write-combining persist layer (see DESIGN.md) does not change
 // what these rounds validate: coalescing only elides redundant
@@ -45,8 +44,8 @@ import (
 	"fmt"
 	"os"
 
+	"delayfree/internal/harness"
 	"delayfree/internal/workload"
-	_ "delayfree/internal/workload/all"
 )
 
 func main() {
@@ -72,10 +71,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Every registered stresser carries its history checker
-	// (RegisterStressSpec refuses one without), so every round can be
-	// audited.
-	stressers := workload.Stressers()
+	// Every stresser carries its history checker (RunRound refuses one
+	// without), so every round can be audited.
+	stressers := harness.Stressers()
 	if *list {
 		for _, s := range stressers {
 			fmt.Printf("%-16s family=%s audit=order\n", s.Name, s.Family)
@@ -126,11 +124,18 @@ func main() {
 		}
 	}
 	if !matched {
-		names := make([]string, 0, len(stressers))
+		var families, names []string
+		seen := map[string]bool{}
+		for _, b := range harness.Kinds() {
+			if !seen[b.Family] {
+				seen[b.Family] = true
+				families = append(families, b.Family)
+			}
+		}
 		for _, s := range stressers {
 			names = append(names, s.Name)
 		}
-		fmt.Fprintf(os.Stderr, "unknown workload %q (families: %v; stressers: %v)\n", *sel, workload.Families(), names)
+		fmt.Fprintf(os.Stderr, "unknown workload %q (families: %v; stressers: %v)\n", *sel, families, names)
 		os.Exit(2)
 	}
 	if failures > 0 {

@@ -5,11 +5,12 @@
 //
 //	go run ./examples/kvcrash
 //
-// Part 1 runs the workload registry's packaged crash-stress driver (the
-// same one cmd/crashstress discovers): the scripts loop until at least
-// 400 full-system crashes have been absorbed, then the recovered map is
-// compared against a shadow model replayed to each process's persisted
-// operation count — nothing may be lost, duplicated or corrupted.
+// Part 1 runs the map family's packaged crash-stress round, the pmap
+// row of the harness stresser table (the same one cmd/crashstress
+// runs): the scripts loop until at least 400 full-system crashes have
+// been absorbed, then the recovered map is compared against a shadow
+// model replayed to each process's persisted operation count — nothing
+// may be lost, duplicated or corrupted.
 //
 // Part 2 shows the recovery API by hand: put a few keys, crash the
 // whole system, recover the writable-CAS slot pools, and read the keys
@@ -20,17 +21,18 @@ import (
 	"fmt"
 
 	"delayfree/internal/capsule"
+	"delayfree/internal/harness"
 	"delayfree/internal/pmap"
 	"delayfree/internal/pmem"
 	"delayfree/internal/proc"
 	"delayfree/internal/workload"
-	_ "delayfree/internal/workload/all"
 )
 
 func main() {
-	// Part 1: the registry's packaged crash-stress with a shadow-model
+	// Part 1: the packaged crash-stress round with a shadow-model
 	// exactness check.
-	rep, err := workload.RunStress("pmap", workload.StressConfig{
+	spec, _ := harness.Stresser("pmap")
+	rep, err := workload.RunRound(spec, workload.StressConfig{
 		Procs:   3,
 		Ops:     300,
 		Crashes: 400,
@@ -84,7 +86,11 @@ func main() {
 	rt.CrashSystem() // all processors fail together; caches are lost
 
 	// Recovery: rebuild the writable-CAS slot pools once, quiescently,
-	// then operate as if nothing happened.
+	// then operate as if nothing happened. That is harmless here only
+	// because each process writes its own keys (i<<8|k): the completion
+	// of each process's last light Put was volatile, so its next Invoke
+	// first re-runs that Put's final write capsule, which would
+	// overwrite any later write another process had made to the key.
 	m.Recover(setup)
 	rt.RunToCompletion(func(i int) proc.Program {
 		return func(p *proc.Proc) {

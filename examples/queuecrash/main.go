@@ -1,8 +1,9 @@
 // Queuecrash: the paper's headline artifact in action — the
 // Michael–Scott queue transformed by the Persistent Normalized
 // Simulator (Section 7) surviving randomized crash injection in both
-// failure models, through the workload registry's packaged crash-stress
-// driver (the same one cmd/crashstress runs).
+// failure models, through the queue family's packaged crash-stress
+// round, the normalized-opt row of the harness stresser table (the same
+// one cmd/crashstress runs).
 //
 //	go run ./examples/queuecrash
 //
@@ -19,17 +20,18 @@ package main
 import (
 	"fmt"
 
+	"delayfree/internal/harness"
 	"delayfree/internal/workload"
-	_ "delayfree/internal/workload/all"
 )
 
 func main() {
+	spec, _ := harness.Stresser("normalized-opt")
 	for _, shared := range []bool{false, true} {
 		model := "private (independent process crashes)"
 		if shared {
 			model = "shared-cache (full-system crashes)"
 		}
-		rep, err := workload.RunStress("normalized-opt", workload.StressConfig{
+		rep, err := workload.RunRound(spec, workload.StressConfig{
 			Procs:  3,
 			Ops:    200, // enqueue-dequeue pairs per process
 			Seed:   42,

@@ -1,4 +1,4 @@
-package all
+package harness
 
 import (
 	"path/filepath"
@@ -8,29 +8,29 @@ import (
 )
 
 // TestNoAuditCoverageGaps: every workload family is crash-stressed, so
-// every family's ordering audit runs — a stresser cannot register
+// every family's ordering audit runs — RunRound refuses a stresser
 // without its durable-linearizability checker (see DESIGN.md, "Adding a
 // workload family").
 func TestNoAuditCoverageGaps(t *testing.T) {
 	stressed := map[string]bool{}
-	for _, s := range workload.Stressers() {
+	for _, s := range Stressers() {
 		stressed[s.Family] = true
 	}
-	for _, f := range workload.Families() {
-		if !stressed[f] {
-			t.Errorf("family %q has no stresser", f)
+	for _, b := range Kinds() {
+		if !stressed[b.Family] {
+			t.Errorf("family %q has a kind (%s) but no stresser", b.Family, b.Kind)
 		}
 	}
 }
 
 // TestAuditedRoundsPass runs one audited crash-stress round per
-// registered stresser at the default seed: the round must absorb its
+// stresser at the default seed: the round must absorb its
 // crash quota AND the recorded history must satisfy the family's
 // durable-linearizability checker plus the detectability cross-check.
 // This is the acceptance gate for `crashstress -audit order` — every
 // smoke round must stay clean at the default seed.
 func TestAuditedRoundsPass(t *testing.T) {
-	for _, s := range workload.Stressers() {
+	for _, s := range Stressers() {
 		s := s
 		for _, shared := range []bool{false, true} {
 			shared := shared
@@ -72,9 +72,9 @@ func TestLongExposureRoundFitsRecorder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2000-crash rounds")
 	}
-	s, ok := workload.LookupStresser("pstack")
+	s, ok := Stresser("pstack")
 	if !ok {
-		t.Fatal("pstack stresser not registered")
+		t.Fatal("no pstack stresser")
 	}
 	for _, shared := range []bool{false, true} {
 		if _, err := workload.RunRound(s, workload.StressConfig{
@@ -87,12 +87,12 @@ func TestLongExposureRoundFitsRecorder(t *testing.T) {
 }
 
 // benchRound runs one pstack crash-stress round, the heaviest audited
-// family; `go test -bench CrashStress ./internal/workload/all` measures
-// the recorder's end-to-end overhead (audit off vs on).
+// family; `go test -run '^$' -bench CrashStress ./internal/harness`
+// measures the recorder's end-to-end overhead (audit off vs on).
 func benchRound(b *testing.B, audit bool) {
-	s, ok := workload.LookupStresser("pstack")
+	s, ok := Stresser("pstack")
 	if !ok {
-		b.Fatal("pstack stresser not registered")
+		b.Fatal("no pstack stresser")
 	}
 	var ops uint64
 	b.ResetTimer()

@@ -14,7 +14,6 @@ import (
 	"delayfree/internal/pstack"
 	"delayfree/internal/qnode"
 	"delayfree/internal/rcas"
-	"delayfree/internal/workload"
 )
 
 // The batched kinds: cfg.Threads producer processes publish operation
@@ -36,43 +35,6 @@ const (
 	KindStackBatched = "pstack-batched"
 	KindMapBatched   = "pmap-batched"
 )
-
-func init() {
-	workload.RegisterParams(
-		workload.Param{Name: "batch-max", Default: 64,
-			Help: "batched kinds: max operations per combiner batch"},
-		workload.Param{Name: "ingress-shards", Default: 1,
-			Help: "batched kinds: MPSC ring/combiner shards"},
-	)
-	workload.RegisterBencher(workload.Bencher{Kind: KindQueueBatched, Family: "queue", Run: runQueueBatched})
-	workload.RegisterBencher(workload.Bencher{Kind: KindStackBatched, Family: "stack", Run: runStackBatched})
-	workload.RegisterBencher(workload.Bencher{Kind: KindMapBatched, Family: "map", Run: runMapBatched})
-
-	// The batching figure sweeps batch size over every family, with the
-	// strongest unbatched kind of each family as the 1x reference. The
-	// map points pin read-pct 0 (write-only) so the batch-size curve is
-	// not diluted by fast-lane reads that bypass the rings anyway.
-	batching := append(plain(KindNormalizedOpt, KindPStackOpt),
-		workload.Point{Label: "pmap-r0", Kind: KindPmap, Params: workload.Params{"read-pct": 0}})
-	for _, bm := range []int64{1, 4, 16, 64, 256} {
-		for _, kind := range []string{KindQueueBatched, KindStackBatched, KindMapBatched} {
-			pt := workload.Point{Label: fmt.Sprintf("%s-b%d", kind, bm), Kind: kind,
-				Params: workload.Params{"batch-max": bm}}
-			if kind == KindMapBatched {
-				pt.Params["read-pct"] = 0
-			}
-			batching = append(batching, pt)
-		}
-	}
-	// Read-mix points at b64 show the group commit composing with the
-	// read-only fast lane (producer Gets bypass the rings, so deferred
-	// windows and volatile reads interleave).
-	for _, rp := range []int64{50, 90} {
-		batching = append(batching, workload.Point{Label: fmt.Sprintf("%s-b64-r%d", KindMapBatched, rp),
-			Kind: KindMapBatched, Params: workload.Params{"batch-max": 64, "read-pct": rp}})
-	}
-	workload.RegisterFigure("batching", batching...)
-}
 
 // ringCapacity sizes a shard ring: enough runway that producers rarely
 // stall on a draining combiner, bounded so memory stays flat.

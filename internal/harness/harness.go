@@ -1,17 +1,18 @@
 // Package harness builds and runs the paper's evaluation workloads
-// (Section 10) and registers them with the workload registry: for each
-// family (queue, map, stack) it contributes benchmark kinds that run a
-// fixed-work measurement and report throughput and the per-operation
-// persistence costs (flushes, fences, CASes, capsule boundaries) that
-// drive the figures' shape, plus the figures comparing them (lists of
-// points, each a kind at a parameter setting) and the family's
-// tunables.
+// (Section 10) and declares the repository's workload inventory
+// (tables.go): for each family (queue, map, stack) the benchmark kinds
+// that run a fixed-work measurement and report throughput and the
+// per-operation persistence costs (flushes, fences, CASes, capsule
+// boundaries) that drive the figures' shape, the figures comparing them
+// (lists of points, each a kind at a parameter setting), the tunables,
+// the recovery probes and the crash stressers the family packages
+// export.
 //
 // This file is the queue family: T threads running enqueue-dequeue
 // pairs against a queue pre-seeded with a large number of nodes, for
-// every queue variant in the repository (Figures 5-7). map.go and
-// stack.go register the map and stack families the same way; adding a
-// family is one more registration file.
+// every queue variant in the repository (Figures 5-7). map.go, stack.go
+// and batching.go hold the map, stack and batched runners; adding a
+// family is a runner file plus its rows in tables.go.
 //
 // Simulated NVM latency: flushes and fences spin for a calibrated
 // number of iterations (Config.FlushDelay/FenceDelay), standing in for
@@ -54,14 +55,14 @@ const (
 )
 
 // Config parametrizes one measurement: common knobs plus the per-family
-// parameter bag (see the registered workload.Params of each family).
+// parameter bag (see Params).
 type Config = workload.Config
 
 // Result is one measured point.
 type Result = workload.Result
 
 // DefaultConfig mirrors the paper's setup scaled to the simulator;
-// family tunables resolve to their registered defaults.
+// Run resolves family tunables to their defaults.
 func DefaultConfig() Config {
 	return Config{
 		Threads:    1,
@@ -69,44 +70,6 @@ func DefaultConfig() Config {
 		FlushDelay: 250,
 		FenceDelay: 120,
 	}
-}
-
-func init() {
-	workload.RegisterParams(
-		// 200000 matches the default the benchfigs CLI always used, so
-		// regenerated tables stay comparable with recorded ones.
-		workload.Param{Name: "seed-nodes", Default: 200000,
-			Help: "queue family: initial queue size in nodes (paper: 1M)"},
-		workload.Param{Name: "attiya", Default: 0,
-			Help: "queue family: 1 = use the Attiya et al. recoverable CAS (as the paper's experiments did)"},
-	)
-	register := func(kind string, run func(Config) Result) {
-		workload.RegisterBencher(workload.Bencher{Kind: kind, Family: "queue", Run: run})
-	}
-	register(KindMSQ, func(cfg Config) Result { return runMSQ(cfg, false) })
-	register(KindIzraMSQ, func(cfg Config) Result { return runMSQ(cfg, true) })
-	register(KindGeneralIzra, func(cfg Config) Result { return runTransformed(cfg, false, false, true) })
-	register(KindNormalizedIzra, func(cfg Config) Result { return runTransformed(cfg, true, false, true) })
-	register(KindGeneral, func(cfg Config) Result { return runTransformed(cfg, false, false, false) })
-	register(KindGeneralOpt, func(cfg Config) Result { return runTransformed(cfg, false, true, false) })
-	register(KindNormalized, func(cfg Config) Result { return runTransformed(cfg, true, false, false) })
-	register(KindNormalizedOpt, func(cfg Config) Result { return runTransformed(cfg, true, true, false) })
-	register(KindLogQueue, runLogQueue)
-	register(KindRomulus, runRomulus)
-
-	workload.RegisterFigure("5", plain(KindIzraMSQ, KindGeneralIzra, KindNormalizedIzra)...)
-	workload.RegisterFigure("6", plain(KindGeneral, KindGeneralOpt, KindNormalized, KindNormalizedOpt, KindLogQueue, KindRomulus)...)
-	workload.RegisterFigure("7", plain(KindMSQ, KindGeneral, KindNormalized, KindNormalizedOpt, KindLogQueue, KindRomulus)...)
-}
-
-// plain returns figure points that measure each kind at the run's own
-// parameters, labelled with the kind's name.
-func plain(kinds ...string) []workload.Point {
-	out := make([]workload.Point, len(kinds))
-	for i, k := range kinds {
-		out[i] = workload.Point{Label: k, Kind: k}
-	}
-	return out
 }
 
 // seedNodes resolves the queue family's initial-length tunable.

@@ -27,10 +27,10 @@ func smallCfg() Config {
 	}
 }
 
-// run measures one registered kind, failing the test on error.
+// run measures one kind, failing the test on error.
 func run(t *testing.T, kind string, cfg Config) Result {
 	t.Helper()
-	r, err := workload.Run(kind, cfg)
+	r, err := Run(kind, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func runLabel(t *testing.T, label string, cfg Config) Result {
 	t.Helper()
 	for _, p := range smokePoints() {
 		if p.Label == label {
-			res, err := workload.Sweep([]workload.Point{p}, []int{cfg.Threads}, cfg)
+			res, err := workload.Sweep(Run, []workload.Point{p}, []int{cfg.Threads}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,19 +54,18 @@ func runLabel(t *testing.T, label string, cfg Config) Result {
 	return Result{}
 }
 
-// smokePoints is every registered kind at the run's own parameters,
-// then every figure point whose label is not already listed (the guard
-// test below makes a label mean one point everywhere it appears).
+// smokePoints is every kind at the run's own parameters, then every
+// figure point whose label is not already listed (the guard test below
+// makes a label mean one point everywhere it appears).
 func smokePoints() []workload.Point {
 	var out []workload.Point
 	seen := map[string]bool{}
-	for _, b := range workload.Benchers() {
+	for _, b := range Kinds() {
 		out = append(out, workload.Point{Label: b.Kind, Kind: b.Kind})
 		seen[b.Kind] = true
 	}
-	figures := workload.Figures()
-	for _, name := range workload.FigureNames() {
-		for _, p := range figures[name] {
+	for _, f := range Figures() {
+		for _, p := range f.Points {
 			if !seen[p.Label] {
 				out = append(out, p)
 				seen[p.Label] = true
@@ -76,21 +75,28 @@ func smokePoints() []workload.Point {
 	return out
 }
 
-// TestRegistrySmoke runs every registered kind and every figure point —
-// current and future families alike — at a tiny config and asserts
-// non-zero throughput and sane stats, catching wiring regressions the
-// moment a family or a figure point is registered.
+// figure returns the points of the figure called name.
+func figure(name string) ([]workload.Point, bool) {
+	for _, f := range Figures() {
+		if f.Name == name {
+			return f.Points, true
+		}
+	}
+	return nil, false
+}
+
+// TestRegistrySmoke runs every kind and every figure point — current
+// and future families alike — at a tiny config and asserts non-zero
+// throughput and sane stats, catching wiring regressions the moment a
+// kind or a figure point joins the tables.
 func TestRegistrySmoke(t *testing.T) {
 	points := smokePoints()
 	if len(points) < 40 {
-		t.Fatalf("only %d kinds and figure points registered", len(points))
+		t.Fatalf("only %d kinds and figure points in the tables", len(points))
 	}
 	for _, p := range points {
 		t.Run(p.Label, func(t *testing.T) {
-			if b, _ := workload.LookupBencher(p.Kind); b.Family == "" {
-				t.Fatal("kind has no family")
-			}
-			res, err := workload.Sweep([]workload.Point{p}, []int{2}, smallCfg())
+			res, err := workload.Sweep(Run, []workload.Point{p}, []int{2}, smallCfg())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,45 +121,122 @@ func TestRegistrySmoke(t *testing.T) {
 }
 
 func TestUnknownKind(t *testing.T) {
-	if _, err := workload.Run("nope", smallCfg()); err == nil {
+	if _, err := Run("nope", smallCfg()); err == nil {
 		t.Fatal("expected error")
 	}
+	// Run fills in every declared tunable; any other name still panics.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("undeclared parameter did not panic")
+		}
+	}()
+	smallCfg().Param("never-declared")
 }
 
-// TestRegistryGuard keeps the registry free of kinds no figure
-// measures and of figure points that cannot run: every registered kind
-// is some point's kind, every point's kind is registered, labels are
-// unique within a figure, and a label names the same point in every
-// figure it appears in — a label that is a kind's name being that kind
-// at the run's own parameters.
+// TestRegistryGuard keeps the tables consistent: kind, figure,
+// stresser and probe names are unique; every kind is some point's kind
+// and every point's kind is in the kinds table; labels are unique
+// within a figure, and a label names the same point in every figure it
+// appears in — a label that is a kind's name being that kind at the
+// run's own parameters; and every stresser is complete, so RunRound can
+// build and audit it (TestNoAuditCoverageGaps checks that every family
+// with a kind has one).
 func TestRegistryGuard(t *testing.T) {
-	figures := workload.Figures()
-	used := map[string]bool{}
+	unique := func(table string, names []string) {
+		seen := map[string]bool{}
+		for _, n := range names {
+			if seen[n] {
+				t.Errorf("%s: %q appears twice", table, n)
+			}
+			seen[n] = true
+		}
+	}
+	var kindNames, figNames, stresserNames, probeNames []string
+	kinds := map[string]bool{}
 	byLabel := map[string]workload.Point{}
-	for _, b := range workload.Benchers() {
+	for _, b := range Kinds() {
+		kindNames = append(kindNames, b.Kind)
+		kinds[b.Kind] = true
 		byLabel[b.Kind] = workload.Point{Label: b.Kind, Kind: b.Kind}
 	}
-	for _, name := range workload.FigureNames() {
+	used := map[string]bool{}
+	for _, f := range Figures() {
+		figNames = append(figNames, f.Name)
 		labels := map[string]bool{}
-		for _, p := range figures[name] {
-			if _, ok := workload.LookupBencher(p.Kind); !ok {
-				t.Errorf("figure %s: point %s measures unregistered kind %s", name, p.Label, p.Kind)
+		for _, p := range f.Points {
+			if !kinds[p.Kind] {
+				t.Errorf("figure %s: point %s measures unknown kind %s", f.Name, p.Label, p.Kind)
 			}
 			used[p.Kind] = true
 			if labels[p.Label] {
-				t.Errorf("figure %s: label %s appears twice", name, p.Label)
+				t.Errorf("figure %s: label %s appears twice", f.Name, p.Label)
 			}
 			labels[p.Label] = true
 			if prev, ok := byLabel[p.Label]; ok && (prev.Kind != p.Kind || !maps.Equal(prev.Params, p.Params)) {
-				t.Errorf("figure %s: label %s means %+v here but %+v elsewhere", name, p.Label, p, prev)
+				t.Errorf("figure %s: label %s means %+v here but %+v elsewhere", f.Name, p.Label, p, prev)
 			}
 			byLabel[p.Label] = p
 		}
 	}
-	for _, b := range workload.Benchers() {
-		if !used[b.Kind] {
-			t.Errorf("kind %s is in no figure", b.Kind)
+	for _, k := range kindNames {
+		if !used[k] {
+			t.Errorf("kind %s is in no figure", k)
 		}
+	}
+	for _, s := range Stressers() {
+		stresserNames = append(stresserNames, s.Name)
+		if s.Name == "" || s.Family == "" || s.Build == nil || s.Checker == nil {
+			t.Errorf("stresser %q (family %q) lacks a Name, Family, Build or Checker", s.Name, s.Family)
+		}
+	}
+	for _, p := range Probes() {
+		probeNames = append(probeNames, p.Name)
+	}
+	unique("kinds", kindNames)
+	unique("figures", figNames)
+	unique("stressers", stresserNames)
+	unique("probes", probeNames)
+}
+
+// TestRegistryLookups pins what the listings print: each table's
+// names in table order, and the lookups by name.
+func TestRegistryLookups(t *testing.T) {
+	names := func(n int, name func(i int) string) string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = name(i)
+		}
+		return strings.Join(out, ",")
+	}
+	figs, kinds, stressers, probes, params := Figures(), Kinds(), Stressers(), Probes(), Params()
+	for _, c := range []struct{ table, got, want string }{
+		{"figures", names(len(figs), func(i int) string { return figs[i].Name }),
+			"batching,5,6,7,map,readheavy,stack"},
+		{"stressers", names(len(stressers), func(i int) string { return stressers[i].Name }),
+			"pmap-batched,pmap,pmap-readheavy,pqueue-batched,general,general-opt,normalized,normalized-opt,pstack-batched,pstack"},
+		{"probes", names(len(probes), func(i int) string { return probes[i].Name }),
+			"logqueue,capsule+rcas"},
+		{"params", names(len(params), func(i int) string { return params[i].Name }),
+			"batch-max,ingress-shards,seed-nodes,attiya,read-pct,map-keys,map-shards,stack-seed"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %s, want %s", c.table, c.got, c.want)
+		}
+	}
+	if len(kinds) != 19 {
+		t.Errorf("%d kinds, want 19", len(kinds))
+	}
+	if pts, ok := figure("stack"); !ok || len(pts) != 3 || pts[1].Kind != KindPStack {
+		t.Errorf("figure stack = %v, %v", pts, ok)
+	}
+	if _, ok := figure("nope"); ok {
+		t.Error("found an undeclared figure")
+	}
+	if s, ok := Stresser("pstack"); !ok || s.Family != "stack" || s.Checker == nil {
+		t.Errorf("Stresser(pstack) = %+v, %v", s, ok)
+	}
+	if _, ok := Stresser("nope"); ok {
+		t.Error("found an undeclared stresser")
 	}
 }
 
@@ -163,7 +246,7 @@ func TestPersistenceCostOrdering(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Threads = 1
 	res := map[string]Result{}
-	for _, b := range workload.Benchers() {
+	for _, b := range Kinds() {
 		res[b.Kind] = run(t, b.Kind, cfg)
 	}
 	// The volatile baselines persist nothing; every recoverable kind of
@@ -334,7 +417,7 @@ func TestEffectiveFlushRegression(t *testing.T) {
 func TestSweepAndPrint(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Pairs = 100
-	res, err := workload.Sweep(plain(KindMSQ, KindNormalizedOpt), []int{1, 2}, cfg)
+	res, err := workload.Sweep(Run, plain(KindMSQ, KindNormalizedOpt), []int{1, 2}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +435,7 @@ func TestSweepAndPrint(t *testing.T) {
 }
 
 func TestRecoveryStudy(t *testing.T) {
-	pts := workload.RecoveryStudy([]uint32{10, 2000})
+	pts := workload.RecoveryStudy(Probes(), []uint32{10, 2000})
 	if len(pts) != 2 {
 		t.Fatalf("points: %d", len(pts))
 	}
@@ -367,7 +450,7 @@ func TestRecoveryStudy(t *testing.T) {
 			pts[0].Steps["capsule+rcas"], pts[1].Steps["capsule+rcas"])
 	}
 	var buf bytes.Buffer
-	workload.PrintRecovery(&buf, pts)
+	workload.PrintRecovery(&buf, Probes(), pts)
 	if !strings.Contains(buf.String(), "recovery latency") {
 		t.Fatal("missing header")
 	}
@@ -440,13 +523,13 @@ func TestFamilySweeps(t *testing.T) {
 	// Each non-queue family figure sweeps its volatile baseline against
 	// the recoverable kinds.
 	for _, fig := range []string{"map", "stack"} {
-		points, ok := workload.Figures()[fig]
+		points, ok := figure(fig)
 		if !ok {
-			t.Fatalf("figure %q not registered", fig)
+			t.Fatalf("figure %q not in the table", fig)
 		}
 		cfg := smallCfg()
 		cfg.Pairs = 100
-		res, err := workload.Sweep(points, []int{1, 2}, cfg)
+		res, err := workload.Sweep(Run, points, []int{1, 2}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,15 +553,14 @@ func TestAttiyaSpaceOption(t *testing.T) {
 }
 
 func TestFiguresDefined(t *testing.T) {
-	figures := workload.Figures()
 	for _, want := range []string{"5", "6", "7", "map", "stack"} {
-		if _, ok := figures[want]; !ok {
-			t.Fatalf("figure %q not registered", want)
+		if _, ok := figure(want); !ok {
+			t.Fatalf("figure %q not in the table", want)
 		}
 	}
-	for fig, points := range figures {
-		if len(points) < 2 {
-			t.Fatalf("figure %s has %d points", fig, len(points))
+	for _, f := range Figures() {
+		if len(f.Points) < 2 {
+			t.Fatalf("figure %s has %d points", f.Name, len(f.Points))
 		}
 	}
 }

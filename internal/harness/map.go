@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"delayfree/internal/pmap"
 	"delayfree/internal/pmem"
 	"delayfree/internal/proc"
-	"delayfree/internal/workload"
 )
 
 // The map workload family: every thread runs Config.Pairs*2 operations
@@ -26,47 +24,6 @@ const (
 	KindPmapSharded = "pmap-sharded"
 	KindMapVolatile = "map-volatile"
 )
-
-func init() {
-	workload.RegisterParams(
-		workload.Param{Name: "read-pct", Default: 90,
-			Help: "map family: percentage of Get operations"},
-		workload.Param{Name: "map-keys", Default: 2048,
-			Help: "map family: key-space size (table sized for load factor 1/2)"},
-		workload.Param{Name: "map-shards", Default: 4,
-			Help: "map family: segments of the pmap-sharded kind"},
-	)
-	for _, kind := range []string{KindMapVolatile, KindPmap, KindPmapSharded} {
-		workload.RegisterBencher(workload.Bencher{
-			Kind:   kind,
-			Family: "map",
-			Run:    func(cfg Config) Result { return runMapKind(kind, cfg) },
-		})
-	}
-	workload.RegisterFigure("map", plain(KindMapVolatile, KindPmap, KindPmapSharded)...)
-
-	// The readheavy figure sweeps the read mix: each point pins read-pct
-	// to one of {0, 50, 90, 99}, so one benchfigs invocation measures
-	// the whole Get-fraction curve for both recoverable map kinds. It is
-	// the read-only fast lane's acceptance figure: Get is
-	// persistence-free (zero flushes, fences, CASes and boundaries), so
-	// throughput rises and eff-flushes/op falls monotonically with the
-	// read fraction. The write-only point (r0) improves too — write-op
-	// *probes* ride the same fast lane (volatile wcas key reads, elided
-	// probe boundaries until the first claim) while every durability
-	// point of the write itself is unchanged.
-	var readheavy []workload.Point
-	for _, rp := range []int64{0, 50, 90, 99} {
-		for _, kind := range []string{KindPmap, KindPmapSharded} {
-			readheavy = append(readheavy, workload.Point{
-				Label:  fmt.Sprintf("%s-r%d", kind, rp),
-				Kind:   kind,
-				Params: workload.Params{"read-pct": rp},
-			})
-		}
-	}
-	workload.RegisterFigure("readheavy", readheavy...)
-}
 
 // mapGeom resolves a map kind's key space and segment count, as given:
 // only pmap-sharded reads map-shards.

@@ -16,18 +16,8 @@ import (
 // of structure size. The paper's claim: LogQueue recovery traverses the
 // entire queue, while the transformations reload one capsule and query
 // one recoverable CAS — constant, plus an O(P) announcement scan when
-// using the Attiya CAS. Registered as workload.RecoveryProbes; the
-// study itself (workload.RecoveryStudy) iterates whatever is
-// registered.
-
-func init() {
-	workload.RegisterRecoveryProbe(workload.RecoveryProbe{
-		Name: "logqueue", Steps: logQueueRecoverySteps,
-	})
-	workload.RegisterRecoveryProbe(workload.RecoveryProbe{
-		Name: "capsule+rcas", Steps: capsuleRecoverySteps,
-	})
-}
+// using the Attiya CAS. Both are rows of the Probes table, which the
+// study (workload.RecoveryStudy) iterates.
 
 // logQueueRecoverySteps seeds a LogQueue with n nodes, announces an
 // enqueue that never linked (the worst but common case: the crash hit

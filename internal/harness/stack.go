@@ -7,7 +7,6 @@ import (
 	"delayfree/internal/pstack"
 	"delayfree/internal/qnode"
 	"delayfree/internal/rcas"
-	"delayfree/internal/workload"
 )
 
 // The stack workload family: the Section 7 transformation applied to a
@@ -26,21 +25,6 @@ const (
 	KindPStack        = "pstack"
 	KindPStackOpt     = "pstack-opt"
 )
-
-func init() {
-	workload.RegisterParams(
-		workload.Param{Name: "stack-seed", Default: 50000,
-			Help: "stack family: initial stack size in nodes"},
-	)
-	register := func(kind string, run func(Config) Result) {
-		workload.RegisterBencher(workload.Bencher{Kind: kind, Family: "stack", Run: run})
-	}
-	register(KindStackVolatile, runVolatileStack)
-	register(KindPStack, func(cfg Config) Result { return runPStack(cfg, false) })
-	register(KindPStackOpt, func(cfg Config) Result { return runPStack(cfg, true) })
-
-	workload.RegisterFigure("stack", plain(KindStackVolatile, KindPStack, KindPStackOpt)...)
-}
 
 // stackMem sizes a fast-mode memory and arena for a stack-family run.
 func stackMem(cfg Config) (*pmem.Memory, *qnode.Arena, uint32) {

@@ -10,6 +10,5 @@ func All() []*Analyzer {
 		FenceOrder,
 		RoPurity,
 		PackedAccess,
-		BatchAPI,
 	}
 }

@@ -7,8 +7,7 @@
 // PR 3 logqueue class), read-only-tier capsules must be free of
 // persistent effects (the PR 5 checked-mode panic), packed-arena nodes
 // must be accessed through the arena accessors (the line-sharing
-// discipline of DESIGN.md "Packed batch arenas"), and adjacent flushes
-// should batch through FlushRange/FlushAddrs. These are mechanically
+// discipline of DESIGN.md "Packed batch arenas"). These are mechanically
 // checkable program disciplines, so this package checks them at vet
 // time instead of waiting for a lethal crash seed.
 //

@@ -14,7 +14,6 @@ func TestRawCas(t *testing.T)       { RunGolden(t, RawCas, "rawcas") }
 func TestFenceOrder(t *testing.T)   { RunGolden(t, FenceOrder, "fenceorder") }
 func TestRoPurity(t *testing.T)     { RunGolden(t, RoPurity, "ropurity") }
 func TestPackedAccess(t *testing.T) { RunGolden(t, PackedAccess, "packedaccess") }
-func TestBatchAPI(t *testing.T)     { RunGolden(t, BatchAPI, "batchapi") }
 
 // TestAnalyzersHaveFixtures is the meta-test: every analyzer registered
 // in All() must ship a golden fixture (a testdata package named after
@@ -70,12 +69,12 @@ func TestIgnoreHygiene(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var batchapi, directive int
+	var rawcas, directive int
 	var sawMissing, sawUnknown bool
 	for _, d := range diags {
 		switch d.Analyzer {
-		case "batchapi":
-			batchapi++
+		case "rawcas":
+			rawcas++
 		case "lint-directive":
 			directive++
 			if strings.Contains(d.Message, "written justification") {
@@ -90,8 +89,8 @@ func TestIgnoreHygiene(t *testing.T) {
 	}
 	// missingJustification and unknownAnalyzer keep their findings (the
 	// broken ignores suppress nothing); properlyIgnored is clean.
-	if batchapi != 2 {
-		t.Errorf("batchapi findings = %d, want 2 (broken ignores must not suppress):\n%s", batchapi, FormatDiagnostics(diags))
+	if rawcas != 2 {
+		t.Errorf("rawcas findings = %d, want 2 (broken ignores must not suppress):\n%s", rawcas, FormatDiagnostics(diags))
 	}
 	if directive != 2 || !sawMissing || !sawUnknown {
 		t.Errorf("lint-directive findings = %d (missing-justification seen: %v, unknown-analyzer seen: %v), want both:\n%s",

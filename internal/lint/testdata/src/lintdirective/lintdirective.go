@@ -7,20 +7,23 @@ package lintdirective
 
 import "pmem"
 
-func missingJustification(p *pmem.Port, a pmem.Addr) {
-	//lint:ignore batchapi
-	p.Flush(a)
-	p.Flush(a + 1)
+type cell struct {
+	port *pmem.Port
+	//persist:rcas-managed
+	word pmem.Addr
 }
 
-func unknownAnalyzer(p *pmem.Port, a pmem.Addr) {
+func (c *cell) missingJustification(v uint64) {
+	//lint:ignore rawcas
+	c.port.Write(c.word, v)
+}
+
+func (c *cell) unknownAnalyzer(v uint64) {
 	//lint:ignore nosuchanalyzer the analyzer list must name real analyzers
-	p.Flush(a)
-	p.Flush(a + 1)
+	c.port.Write(c.word, v)
 }
 
-func properlyIgnored(p *pmem.Port, a pmem.Addr) {
-	//lint:ignore batchapi these two lines are an ordering point in the fixture
-	p.Flush(a)
-	p.Flush(a + 1)
+func (c *cell) properlyIgnored(v uint64) {
+	//lint:ignore rawcas quiescent setup write before any process attaches
+	c.port.Write(c.word, v)
 }

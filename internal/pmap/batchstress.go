@@ -42,7 +42,8 @@ func batchedKey(pid int, attempt uint64) uint64 {
 	return uint64(pid)<<32 | (1 + attempt%batchedKeys)
 }
 
-func init() {
+// batchedStressSpec is the pmap-batched round.
+func batchedStressSpec() workload.StressSpec {
 	spec := ingress.BatchedStress{
 		Name:   "pmap-batched",
 		Family: "map",
@@ -129,5 +130,5 @@ func init() {
 		},
 	}.Spec()
 	spec.Checker = history.CheckMapLWW
-	workload.RegisterStressSpec(spec)
+	return spec
 }

@@ -247,10 +247,15 @@ func stressSpec(name string, g stressGeom) workload.StressSpec {
 	}
 }
 
-func init() {
-	// The readheavy variant runs the same exactness check over 90%-Get
-	// scripts, so the read-only fast lane (elided boundaries, flush-free
-	// wcas reads) absorbs the bulk of the injected crashes.
-	workload.RegisterStressSpec(stressSpec("pmap", stressGeom{shards: 2, buckets: 256, readPct: 25}))
-	workload.RegisterStressSpec(stressSpec("pmap-readheavy", stressGeom{shards: 2, buckets: 256, readPct: 90}))
+// StressSpecs returns the map family's stressers: the batched
+// front-end, then the unbatched round and its readheavy variant, which
+// runs the same exactness check over 90%-Get scripts so the read-only
+// fast lane (elided boundaries, flush-free wcas reads) absorbs the bulk
+// of the injected crashes.
+func StressSpecs() []workload.StressSpec {
+	return []workload.StressSpec{
+		batchedStressSpec(),
+		stressSpec("pmap", stressGeom{shards: 2, buckets: 256, readPct: 25}),
+		stressSpec("pmap-readheavy", stressGeom{shards: 2, buckets: 256, readPct: 90}),
+	}
 }

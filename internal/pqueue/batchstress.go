@@ -9,14 +9,14 @@ import (
 	"delayfree/internal/workload"
 )
 
-// Crash-stress for the batched ingress front-end of the queue family
-// (protocol, accounting and residue check: ingress.ChainStress):
-// producers enqueue through the ring, the combiner applies batches with
-// BatchEnqueuer inside single capsule spans. A batch is one private
-// chain linked in by a single CAS, so a crash inside a combiner span
-// keeps the whole batch or none of it.
-func init() {
-	workload.RegisterStressSpec(ingress.ChainStress("pqueue-batched", "queue", ingress.OpEnqueue, history.OpEnq, true,
+// batchedStressSpec is the crash-stress round of the queue family's
+// batched ingress front-end (protocol, accounting and residue check:
+// ingress.ChainStress): producers enqueue through the ring, the combiner
+// applies batches with BatchEnqueuer inside single capsule spans. A
+// batch is one private chain linked in by a single CAS, so a crash
+// inside a combiner span keeps the whole batch or none of it.
+func batchedStressSpec() workload.StressSpec {
+	return ingress.ChainStress("pqueue-batched", "queue", ingress.OpEnqueue, history.OpEnq, true,
 		func(r *workload.Round, arena *qnode.Arena) ingress.Chain {
 			q := NewGeneral(Config{
 				Mem:     r.Mem,
@@ -34,5 +34,5 @@ func init() {
 					return BatchEnqueuer(q, pool)
 				},
 			}
-		}))
+		})
 }

@@ -29,9 +29,14 @@ func stressSpec(name string, mk func(Config) Queue) workload.StressSpec {
 		})
 }
 
-func init() {
-	workload.RegisterStressSpec(stressSpec("general", func(cfg Config) Queue { return NewGeneral(cfg) }))
-	workload.RegisterStressSpec(stressSpec("general-opt", func(cfg Config) Queue { cfg.Opt = true; return NewGeneral(cfg) }))
-	workload.RegisterStressSpec(stressSpec("normalized", func(cfg Config) Queue { return NewNormalized(cfg) }))
-	workload.RegisterStressSpec(stressSpec("normalized-opt", func(cfg Config) Queue { cfg.Opt = true; return NewNormalized(cfg) }))
+// StressSpecs returns the queue family's stressers: the batched
+// front-end, then the pair round of every transformed variant.
+func StressSpecs() []workload.StressSpec {
+	return []workload.StressSpec{
+		batchedStressSpec(),
+		stressSpec("general", func(cfg Config) Queue { return NewGeneral(cfg) }),
+		stressSpec("general-opt", func(cfg Config) Queue { cfg.Opt = true; return NewGeneral(cfg) }),
+		stressSpec("normalized", func(cfg Config) Queue { return NewNormalized(cfg) }),
+		stressSpec("normalized-opt", func(cfg Config) Queue { cfg.Opt = true; return NewNormalized(cfg) }),
+	}
 }

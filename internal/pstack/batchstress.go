@@ -9,16 +9,16 @@ import (
 	"delayfree/internal/workload"
 )
 
-// Crash-stress for the batched ingress front-end of the stack family:
-// the mirror of the queue's batched round (ingress.ChainStress) with
-// BatchPusher as the combiner applier. A batch is one private chain
-// swung in by a single top CAS, so a crash inside a combiner span keeps
-// either the whole batch or none of it. The residue direction flips:
-// Drain returns top-first, so each producer's surviving values must
-// appear in strictly *decreasing* attempt order (LIFO of a per-producer
-// FIFO publish stream).
-func init() {
-	workload.RegisterStressSpec(ingress.ChainStress("pstack-batched", "stack", ingress.OpPush, history.OpPush, false,
+// batchedStressSpec is the crash-stress round of the stack family's
+// batched ingress front-end: the mirror of the queue's batched round
+// (ingress.ChainStress) with BatchPusher as the combiner applier. A
+// batch is one private chain swung in by a single top CAS, so a crash
+// inside a combiner span keeps either the whole batch or none of it.
+// The residue direction flips: Drain returns top-first, so each
+// producer's surviving values must appear in strictly *decreasing*
+// attempt order (LIFO of a per-producer FIFO publish stream).
+func batchedStressSpec() workload.StressSpec {
+	return ingress.ChainStress("pstack-batched", "stack", ingress.OpPush, history.OpPush, false,
 		func(r *workload.Round, arena *qnode.Arena) ingress.Chain {
 			s := New(Config{
 				Mem:     r.Mem,
@@ -36,5 +36,5 @@ func init() {
 					return BatchPusher(s, pool)
 				},
 			}
-		}))
+		})
 }

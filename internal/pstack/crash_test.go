@@ -16,7 +16,7 @@ func TestCrashStressShared(t *testing.T) {
 	if testing.Short() {
 		crashes = 80
 	}
-	rep, err := workload.RunStress("pstack", workload.StressConfig{
+	rep, err := workload.RunRound(stressSpec(New), workload.StressConfig{
 		Procs:   4,
 		Ops:     150,
 		Crashes: crashes,
@@ -42,7 +42,7 @@ func TestCrashStressPrivate(t *testing.T) {
 	if testing.Short() {
 		crashes = 50
 	}
-	rep, err := workload.RunStress("pstack", workload.StressConfig{
+	rep, err := workload.RunRound(stressSpec(New), workload.StressConfig{
 		Procs:   3,
 		Ops:     120,
 		Crashes: crashes,
@@ -57,11 +57,16 @@ func TestCrashStressPrivate(t *testing.T) {
 	}
 }
 
-// TestStresserRegistered pins the registry wiring: crashstress
-// discovers the stack family through the registry, not a switch.
+// TestStresserRegistered pins the family's exported stressers, which
+// the harness stresser table (and so crashstress) lists.
 func TestStresserRegistered(t *testing.T) {
-	s, ok := workload.LookupStresser("pstack")
-	if !ok || s.Family != "stack" {
-		t.Fatalf("pstack stresser: %+v, %v", s, ok)
+	specs := StressSpecs()
+	if len(specs) != 2 || specs[0].Name != "pstack-batched" || specs[1].Name != "pstack" {
+		t.Fatalf("stack stressers: %+v", specs)
+	}
+	for _, s := range specs {
+		if s.Family != "stack" || s.Checker == nil {
+			t.Fatalf("%s: family %q, checker set %v", s.Name, s.Family, s.Checker != nil)
+		}
 	}
 }

@@ -30,6 +30,8 @@ func stressSpec(mk func(Config) *Stack) workload.StressSpec {
 		})
 }
 
-func init() {
-	workload.RegisterStressSpec(stressSpec(New))
+// StressSpecs returns the stack family's stressers: the batched
+// front-end, then the pair round.
+func StressSpecs() []workload.StressSpec {
+	return []workload.StressSpec{batchedStressSpec(), stressSpec(New)}
 }

@@ -115,6 +115,14 @@ func TestRoundRejectsNegativeConfig(t *testing.T) {
 	}
 }
 
+func TestRoundRejectsSpecWithoutChecker(t *testing.T) {
+	spec := (&fakeRound{}).spec()
+	spec.Checker = nil
+	if _, err := RunRound(spec, StressConfig{}); err == nil || !strings.Contains(err.Error(), "no history checker") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 func TestRoundReportsQuotaShortfall(t *testing.T) {
 	// Gaps too wide for any crash to land, and a driver that does not
 	// wait for the quota: only the final crash is absorbed.

@@ -94,21 +94,22 @@ type JSONFigure struct {
 // JSONReport marshals measured figures into the benchfigs -json format:
 // {"figures":[{"figure":"stack","results":[...]}]}. Figures appear in
 // the order given; a result's kind field is its point's label, and its
-// family is that of the point's registered kind.
-func JSONReport(figures []string, results map[string][]Result) ([]byte, error) {
+// family is that of the point's kind, looked up in kinds.
+func JSONReport(kinds []Bencher, figures []Figure, results map[string][]Result) ([]byte, error) {
 	report := struct {
 		Figures []JSONFigure `json:"figures"`
 	}{Figures: []JSONFigure{}}
-	points := Figures()
-	for _, name := range figures {
+	kindFamily := map[string]string{}
+	for _, b := range kinds {
+		kindFamily[b.Kind] = b.Family
+	}
+	for _, f := range figures {
 		family := map[string]string{}
-		for _, p := range points[name] {
-			if b, ok := LookupBencher(p.Kind); ok {
-				family[p.Label] = b.Family
-			}
+		for _, p := range f.Points {
+			family[p.Label] = kindFamily[p.Kind]
 		}
-		fig := JSONFigure{Figure: name, Results: []JSONResult{}}
-		for _, r := range results[name] {
+		fig := JSONFigure{Figure: f.Name, Results: []JSONResult{}}
+		for _, r := range results[f.Name] {
 			fig.Results = append(fig.Results, JSONResult{
 				Kind:                  r.Kind,
 				Family:                family[r.Kind],
@@ -135,16 +136,15 @@ func JSONReport(figures []string, results map[string][]Result) ([]byte, error) {
 }
 
 // RecoveryPoint is one row of the recovery-latency study: the memory
-// operations each registered probe needs to resume a crashed process at
-// the given structure size.
+// operations each probe needs to resume a crashed process at the given
+// structure size.
 type RecoveryPoint struct {
 	Size  uint32
 	Steps map[string]uint64 // probe name -> memory operations
 }
 
-// RecoveryStudy measures every registered probe at every size.
-func RecoveryStudy(sizes []uint32) []RecoveryPoint {
-	probes := RecoveryProbes()
+// RecoveryStudy measures every probe at every size.
+func RecoveryStudy(probes []RecoveryProbe, sizes []uint32) []RecoveryPoint {
 	out := make([]RecoveryPoint, 0, len(sizes))
 	for _, n := range sizes {
 		pt := RecoveryPoint{Size: n, Steps: map[string]uint64{}}
@@ -156,9 +156,8 @@ func RecoveryStudy(sizes []uint32) []RecoveryPoint {
 	return out
 }
 
-// PrintRecovery renders the study, one column per registered probe.
-func PrintRecovery(w io.Writer, points []RecoveryPoint) {
-	probes := RecoveryProbes()
+// PrintRecovery renders the study, one column per probe.
+func PrintRecovery(w io.Writer, probes []RecoveryProbe, points []RecoveryPoint) {
 	fmt.Fprintln(w, "== recovery latency (memory operations to resume after a crash) ==")
 	fmt.Fprintf(w, "%-12s", "size")
 	for _, p := range probes {

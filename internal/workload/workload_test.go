@@ -3,15 +3,13 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"delayfree/internal/pmem"
 )
-
-// The workload package itself registers nothing; this test binary owns
-// the registry and populates it with fakes.
 
 func fakeResult(kind string, threads int) Result {
 	return Result{
@@ -24,121 +22,40 @@ func fakeResult(kind string, threads int) Result {
 	}
 }
 
-func init() {
-	RegisterParams(
-		Param{Name: "fake-size", Default: 64, Help: "fake structure size"},
-		Param{Name: "fake-mix", Default: 90, Help: "fake read mix"},
-	)
-	// Shared parameter: same default merges.
-	RegisterParams(Param{Name: "fake-size", Default: 64})
-	for _, kind := range []string{"fake-a", "fake-b"} {
-		RegisterBencher(Bencher{
-			Kind:   kind,
-			Family: "fake",
-			Run: func(cfg Config) Result {
-				r := fakeResult("", cfg.Threads)
-				r.Stats.Steps = uint64(cfg.Param("fake-size"))
-				return r
-			},
-		})
-	}
-	RegisterFigure("fake",
-		Point{Label: "fake-a", Kind: "fake-a"},
-		Point{Label: "fake-b", Kind: "fake-b"},
-		Point{Label: "fake-a-s8", Kind: "fake-a", Params: Params{"fake-size": 8}})
-	RegisterStressSpec((&fakeRound{}).spec())
-	RegisterRecoveryProbe(RecoveryProbe{
-		Name:  "fake-probe",
-		Steps: func(n uint32) uint64 { return uint64(n) + 7 },
-	})
+// fakeKinds are two kinds of a fake family; each reports its
+// fake-size tunable as its step count.
+var fakeKinds = []Bencher{
+	{Kind: "fake-a", Family: "fake", Run: fakeRun},
+	{Kind: "fake-b", Family: "fake", Run: fakeRun},
 }
 
-func TestRegistryLookups(t *testing.T) {
-	if got := Benchers(); len(got) != 2 || got[0].Kind != "fake-a" || got[1].Kind != "fake-b" {
-		t.Fatalf("Benchers() = %v", got)
-	}
-	if _, ok := LookupBencher("fake-a"); !ok {
-		t.Fatal("fake-a not found")
-	}
-	if _, ok := LookupBencher("nope"); ok {
-		t.Fatal("found unregistered kind")
-	}
-	if fams := Families(); len(fams) != 1 || fams[0] != "fake" {
-		t.Fatalf("Families() = %v", fams)
-	}
-	if pts := Figures()["fake"]; len(pts) != 3 || pts[2].Kind != "fake-a" {
-		t.Fatalf("Figures()[fake] = %v", pts)
-	}
-	if names := FigureNames(); len(names) != 1 || names[0] != "fake" {
-		t.Fatalf("FigureNames() = %v", names)
-	}
-	if s, ok := LookupStresser("fake-counter"); !ok || s.Family != "fake" || s.Checker == nil {
-		t.Fatalf("LookupStresser(fake-counter) = %+v, %v", s, ok)
-	}
-	if len(RecoveryProbes()) != 1 {
-		t.Fatalf("probes: %v", RecoveryProbes())
-	}
+func fakeRun(cfg Config) Result {
+	r := fakeResult("", cfg.Threads)
+	r.Stats.Steps = uint64(cfg.Param("fake-size"))
+	return r
 }
 
-func TestParamResolution(t *testing.T) {
-	cfg := Config{}
-	if got := cfg.Param("fake-size"); got != 64 {
-		t.Fatalf("default fake-size = %d", got)
-	}
-	cfg.Params = Params{}.Set("fake-size", 8)
-	if got := cfg.Param("fake-size"); got != 8 {
-		t.Fatalf("overridden fake-size = %d", got)
-	}
-	if got := cfg.Param("fake-mix"); got != 90 {
-		t.Fatalf("fake-mix = %d", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown parameter did not panic")
+var fakeFigure = Figure{Name: "fake", Points: []Point{
+	{Label: "fake-a", Kind: "fake-a"},
+	{Label: "fake-b", Kind: "fake-b"},
+	{Label: "fake-a-s8", Kind: "fake-a", Params: Params{"fake-size": 8}},
+}}
+
+// runFake measures a fake kind, as harness.Run does a real one.
+func runFake(kind string, cfg Config) (Result, error) {
+	for _, b := range fakeKinds {
+		if b.Kind == kind {
+			r := b.Run(cfg)
+			r.Kind = kind
+			return r, nil
 		}
-	}()
-	cfg.Param("never-registered")
-}
-
-func TestDuplicateRegistrationsPanic(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
 	}
-	mustPanic("dup kind", func() {
-		RegisterBencher(Bencher{Kind: "fake-a", Family: "fake", Run: func(Config) Result { return Result{} }})
-	})
-	mustPanic("dup stresser", func() { RegisterStressSpec((&fakeRound{}).spec()) })
-	mustPanic("stresser without a checker", func() {
-		s := (&fakeRound{}).spec()
-		s.Name, s.Checker = "fake-unaudited", nil
-		RegisterStressSpec(s)
-	})
-	mustPanic("dup figure", func() { RegisterFigure("fake", Point{Label: "fake-a", Kind: "fake-a"}) })
-	mustPanic("unlabelled point", func() { RegisterFigure("fake-2", Point{Kind: "fake-a"}) })
-	mustPanic("conflicting param default", func() {
-		RegisterParams(Param{Name: "fake-size", Default: 65})
-	})
+	return Result{}, fmt.Errorf("unknown kind %q", kind)
 }
 
 func TestRunAndSweep(t *testing.T) {
-	r, err := Run("fake-a", Config{Threads: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Kind != "fake-a" || r.Threads != 3 {
-		t.Fatalf("result: %+v", r)
-	}
-	if _, err := Run("nope", Config{}); err == nil {
-		t.Fatal("unknown kind did not error")
-	}
 	cfg := Config{Params: Params{"fake-size": 32}}
-	res, err := Sweep(Figures()["fake"], []int{1, 2}, cfg)
+	res, err := Sweep(runFake, fakeFigure.Points, []int{1, 2}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +76,7 @@ func TestRunAndSweep(t *testing.T) {
 	if cfg.Params["fake-size"] != 32 {
 		t.Fatalf("Sweep mutated the caller's params: %v", cfg.Params)
 	}
-	if _, err := Sweep([]Point{{Label: "x", Kind: "nope"}}, []int{1}, Config{}); err == nil {
+	if _, err := Sweep(runFake, []Point{{Label: "x", Kind: "nope"}}, []int{1}, Config{}); err == nil {
 		t.Fatal("point of an unknown kind did not error")
 	}
 	var buf bytes.Buffer
@@ -169,6 +86,33 @@ func TestRunAndSweep(t *testing.T) {
 			t.Fatalf("table missing %q:\n%s", want, buf.String())
 		}
 	}
+}
+
+// TestParamResolution: a runner reads its tunables from the bag, a Set
+// copy overrides one without touching the original, and a name the bag
+// lacks panics (harness.Run fills in every declared default first).
+func TestParamResolution(t *testing.T) {
+	cfg := Config{Params: Params{"fake-size": 64, "fake-mix": 90}}
+	if got := cfg.Param("fake-size"); got != 64 {
+		t.Fatalf("fake-size = %d", got)
+	}
+	over := cfg
+	over.Params = cfg.Params.Set("fake-size", 8)
+	if got := over.Param("fake-size"); got != 8 {
+		t.Fatalf("overridden fake-size = %d", got)
+	}
+	if got := over.Param("fake-mix"); got != 90 {
+		t.Fatalf("fake-mix = %d", got)
+	}
+	if got := cfg.Param("fake-size"); got != 64 {
+		t.Fatalf("Set mutated the original bag: fake-size = %d", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("undeclared parameter did not panic")
+		}
+	}()
+	cfg.Param("never-declared")
 }
 
 func TestResultPerOpMath(t *testing.T) {
@@ -200,7 +144,7 @@ func TestJSONReport(t *testing.T) {
 	// fake-a-s8 is a label, not a kind: its family comes from its
 	// point's kind.
 	results := map[string][]Result{"fake": {fakeResult("fake-a", 1), fakeResult("fake-b", 2), fakeResult("fake-a-s8", 1)}}
-	out, err := JSONReport([]string{"fake"}, results)
+	out, err := JSONReport(fakeKinds, []Figure{fakeFigure}, results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +182,8 @@ func TestJSONReport(t *testing.T) {
 }
 
 func TestRecoveryStudy(t *testing.T) {
-	pts := RecoveryStudy([]uint32{0, 100})
+	probes := []RecoveryProbe{{Name: "fake-probe", Steps: func(n uint32) uint64 { return uint64(n) + 7 }}}
+	pts := RecoveryStudy(probes, []uint32{0, 100})
 	if len(pts) != 2 {
 		t.Fatalf("points: %d", len(pts))
 	}
@@ -246,7 +191,7 @@ func TestRecoveryStudy(t *testing.T) {
 		t.Fatalf("probe steps: %+v", pts[1])
 	}
 	var buf bytes.Buffer
-	PrintRecovery(&buf, pts)
+	PrintRecovery(&buf, probes, pts)
 	if !strings.Contains(buf.String(), "fake-probe") || !strings.Contains(buf.String(), "recovery latency") {
 		t.Fatalf("recovery table:\n%s", buf.String())
 	}
