@@ -64,13 +64,13 @@ func checkParams(params workload.Params) error {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (registered: see -list), recovery, or all")
+	fig := flag.String("fig", "all", "figure to regenerate (one of -list), recovery, or all")
 	maxThreads := flag.Int("threads", 8, "maximum thread count for the sweep (paper: 8)")
 	pairs := flag.Int("pairs", 20000, "operation pairs per thread")
 	flushDelay := flag.Int("flush-delay", 250, "simulated flush latency (spin iterations)")
 	fenceDelay := flag.Int("fence-delay", 120, "simulated fence latency (spin iterations)")
 	jsonPath := flag.String("json", "", "write machine-readable results to this file")
-	list := flag.Bool("list", false, "list registered figures and their points, then exit")
+	list := flag.Bool("list", false, "list the figures and their points, then exit")
 
 	// Per-family tunables come from the parameter table.
 	paramFlags := map[string]*int64{}
@@ -138,7 +138,7 @@ func main() {
 			}
 		}
 		if selected == nil {
-			fmt.Fprintf(os.Stderr, "unknown figure %q (registered: %v)\n", *fig, names)
+			fmt.Fprintf(os.Stderr, "unknown figure %q (figures: %v)\n", *fig, names)
 			os.Exit(2)
 		}
 	}

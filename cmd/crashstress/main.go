@@ -57,7 +57,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "base RNG seed")
 	minGap := flag.Int64("min-gap", 0, "minimum instrumented steps between crashes; 0 derives a livelock-safe gap")
 	maxGap := flag.Int64("max-gap", 0, "maximum instrumented steps between crashes; 0 derives it")
-	list := flag.Bool("list", false, "list registered stressers and exit")
+	list := flag.Bool("list", false, "list the stressers and exit")
 	audit := flag.String("audit", "", `history audits to run per round: "order" records every operation and checks durable linearizability + detectability; empty disables`)
 	artifactDir := flag.String("artifact-dir", "", "directory for failing-history JSON artifacts (default: OS temp dir)")
 	flag.Parse()

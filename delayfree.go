@@ -29,10 +29,10 @@
 //   - ingress — the sharded batching front-end: MPSC rings and combiner
 //     routines that amortize one capsule span and one persist epoch
 //     across whole batches;
-//   - workload / harness — the workload registry and the Section 10
-//     evaluation: every family registers its benchmark kinds, figures,
-//     tunables and crash-stress drivers, which cmd/benchfigs and
-//     cmd/crashstress run.
+//   - workload / harness — the Section 10 evaluation: workload holds
+//     the measurement and crash-stress round machinery, harness the
+//     tables of benchmark kinds, figures, tunables and crash stressers
+//     that cmd/benchfigs and cmd/crashstress run.
 //
 // See examples/ for runnable programs and EXPERIMENTS.md for the
 // reproduction of the paper's figures.

@@ -61,17 +61,6 @@ type Config = workload.Config
 // Result is one measured point.
 type Result = workload.Result
 
-// DefaultConfig mirrors the paper's setup scaled to the simulator;
-// Run resolves family tunables to their defaults.
-func DefaultConfig() Config {
-	return Config{
-		Threads:    1,
-		Pairs:      20000,
-		FlushDelay: 250,
-		FenceDelay: 120,
-	}
-}
-
 // seedNodes resolves the queue family's initial-length tunable.
 func seedNodes(cfg Config) uint32 { return uint32(cfg.Param("seed-nodes")) }
 

@@ -237,9 +237,6 @@ func NewPool(shards, capacity, batchMax, producers int) *Pool {
 	return pl
 }
 
-// NumShards returns the shard count.
-func (pl *Pool) NumShards() int { return len(pl.shards) }
-
 // Shard returns shard i.
 func (pl *Pool) Shard(i int) *Shard { return pl.shards[i] }
 

@@ -45,57 +45,52 @@ import (
 //     (and moves on to the next, which snapshots the new combiner's
 //     epoch) instead of waiting forever. The snapshot is volatile —
 //     the crashed path never consults it, because a replay abandons
-//     the whole window unconditionally — which also lets attempts in
-//     one window target different shards.
+//     the whole window unconditionally.
 //
 // Because abandoned attempts leave holes in the per-producer ID
 // sequence, the committed-count watermark contract of the
 // detectability cross-check does not apply; batched rounds leave
 // workload.Hooks.Counter zero, which skips exactly that check.
 
-// Producer driver slots. The counters are exported so the family
-// stressers can read a finished producer's persisted accounting through
-// capsule.Machine.LoadState.
+// Producer driver slots, read back from a finished producer's
+// persisted locals by the round's accounting check.
 const (
-	SlotIdx   = 1 // persisted attempt counter (advances a window before publish)
-	SlotRet   = 2 // completed (returned) operations
-	SlotAband = 3 // attempts abandoned at a crash or combiner restart
+	slotIdx   = 1 // persisted attempt counter (advances a window before publish)
+	slotRet   = 2 // completed (returned) operations
+	slotAband = 3 // attempts abandoned at a crash or combiner restart
 	pdWin     = 4 // size of the claimed in-flight window
 )
 
-// Attempt describes one producer attempt: the destination shard, the
-// record to publish (Pid/Token/Done are filled in by the driver), and
-// the history op code under which it is announced (Rec.A is recorded
-// as Arg, Rec.B as Arg2).
+// Attempt describes one producer attempt: the record to publish
+// (Pid/Token/Done are filled in by the driver) and the history op code
+// under which it is announced (Rec.A is recorded as Arg, Rec.B as
+// Arg2).
 type Attempt struct {
-	Shard int
-	Rec   Record
-	HOp   history.Op
+	Rec Record
+	HOp history.Op
 }
 
-// RegisterProducerDriver registers the batched-stress producer routine
-// for process pid: publish mk(attempt) records through the pool until
-// `attempts` operations have been attempted and keepGoing (if non-nil)
-// reports false, waiting out each attempt's completion and abandoning
-// it on any crash or combiner restart. Attempt counters persist once
-// per window of `window` attempts (0 or 1 = the unwindowed protocol);
-// a crash abandons the whole unacknowledged window. mk must be
-// deterministic in its argument, and every attempt's Rec.A must be
-// globally unique (the conservation checkers key on it).
-func RegisterProducerDriver(reg *capsule.Registry, name string, pool *Pool, pid int,
-	attempts uint64, window uint64, keepGoing func() bool, mk func(attempt uint64) Attempt,
+// registerProducer registers the batched-stress producer routine for
+// process pid: publish mk(attempt) records through the pool's one shard
+// until `attempts` operations have been attempted and keepGoing (if
+// non-nil) reports false, waiting out each attempt's completion and
+// abandoning it on any crash or combiner restart. Attempt counters
+// persist once per window of stressWindow attempts; a crash abandons
+// the whole unacknowledged window. mk must be deterministic in its
+// argument, and every attempt's Rec.A must be globally unique (the
+// conservation checkers key on it).
+func registerProducer(reg *capsule.Registry, name string, pool *Pool, pid int,
+	attempts uint64, keepGoing func() bool, mk func(attempt uint64) Attempt,
 	rec *history.Recorder) capsule.RoutineID {
-	if window == 0 {
-		window = 1
-	}
+	sh := pool.Shard(0)
 	return reg.Register(name, false,
 		func(c *capsule.Ctx) { // pc0: claim the next window of attempts durably
-			i := c.Local(SlotIdx)
+			i := c.Local(slotIdx)
 			if i >= attempts && (keepGoing == nil || !keepGoing()) {
 				c.Finish()
 				return
 			}
-			w := window
+			w := uint64(stressWindow)
 			if i < attempts && i+w > attempts && (keepGoing == nil || !keepGoing()) {
 				// Land exactly on `attempts` when the workload is about
 				// to stop; with keepGoing still true the full window is
@@ -103,7 +98,7 @@ func RegisterProducerDriver(reg *capsule.Registry, name string, pool *Pool, pid 
 				w = attempts - i
 			}
 			c.SetLocal(pdWin, w)
-			c.SetLocal(SlotIdx, i+w)
+			c.SetLocal(slotIdx, i+w)
 			c.Boundary(1)
 		},
 		func(c *capsule.Ctx) { // pc1: publish the window and wait, or abandon it
@@ -116,15 +111,14 @@ func RegisterProducerDriver(reg *capsule.Registry, name string, pool *Pool, pid 
 				// Abandon the whole window — the trace keeps each
 				// attempt invoked-but-unreturned, excused as
 				// absent-or-once.
-				c.SetLocal(SlotAband, c.Local(SlotAband)+w)
+				c.SetLocal(slotAband, c.Local(slotAband)+w)
 				c.Boundary(0)
 				return
 			}
-			first := c.Local(SlotIdx) - w
+			first := c.Local(slotIdx) - w
 			var retd, aband uint64
 			for k := first; k < first+w; k++ {
 				a := mk(k)
-				sh := pool.Shard(a.Shard)
 				epoch := sh.Epoch.Load()
 				token := k + 1
 				done := new(atomic.Uint64) // fresh slot: stale stores from older attempts land elsewhere
@@ -166,8 +160,8 @@ func RegisterProducerDriver(reg *capsule.Registry, name string, pool *Pool, pid 
 					runtime.Gosched()
 				}
 			}
-			c.SetLocal(SlotRet, c.Local(SlotRet)+retd)
-			c.SetLocal(SlotAband, c.Local(SlotAband)+aband)
+			c.SetLocal(slotRet, c.Local(slotRet)+retd)
+			c.SetLocal(slotAband, c.Local(slotAband)+aband)
 			c.Boundary(0)
 		},
 	)
@@ -215,7 +209,7 @@ type BatchedStress struct {
 // BatchedHooks is what BatchedStress.Build returns.
 type BatchedHooks struct {
 	// Attempt is producer pid's attempt-th operation; deterministic,
-	// with a globally unique Rec.A (see RegisterProducerDriver).
+	// with a globally unique Rec.A (see registerProducer).
 	Attempt func(pid int, attempt uint64) Attempt
 	// Apply and Close are the combiner's applier (RegisterGroupCombiner;
 	// Close may be nil when Apply never defers).
@@ -253,8 +247,8 @@ func (b BatchedStress) Spec() workload.StressSpec {
 			pool := NewPool(1, stressRingCap, StressBatchMax, P)
 			for i := 0; i < P; i++ {
 				pid := i
-				r.Install(pid, RegisterProducerDriver(r.Reg, fmt.Sprintf("%s-prod%d", b.Name, pid), pool, pid,
-					attempts, stressWindow, r.KeepGoing,
+				r.Install(pid, registerProducer(r.Reg, fmt.Sprintf("%s-prod%d", b.Name, pid), pool, pid,
+					attempts, r.KeepGoing,
 					func(attempt uint64) Attempt { return f.Attempt(pid, attempt) }, r.Rec))
 			}
 			r.Install(P, RegisterGroupCombiner(r.Reg, b.Name+"-comb", pool, 0, f.Apply, f.Close))
@@ -285,13 +279,13 @@ func (b BatchedStress) Spec() workload.StressSpec {
 					var totalRet uint64
 					for i := 0; i < P; i++ {
 						l := locals[i]
-						idx[i], ret[i] = l[SlotIdx], l[SlotRet]
+						idx[i], ret[i] = l[slotIdx], l[slotRet]
 						if idx[i] < attempts {
 							return fmt.Errorf("producer %d made %d attempts, round demands at least %d", i, idx[i], attempts)
 						}
-						if ret[i]+l[SlotAband] > idx[i] {
+						if ret[i]+l[slotAband] > idx[i] {
 							return fmt.Errorf("producer %d accounting broken: returned %d + abandoned %d > attempted %d",
-								i, ret[i], l[SlotAband], idx[i])
+								i, ret[i], l[slotAband], idx[i])
 						}
 						rep.Ops += ret[i]
 						totalRet += ret[i]

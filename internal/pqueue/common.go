@@ -236,9 +236,6 @@ func (b *base) persist(p *pmem.Port, addr pmem.Addr) {
 // benchmarks that query the recoverable CAS directly).
 func (b *base) HeadAddr() pmem.Addr { return b.head }
 
-// TailAddr returns the tail cell's address.
-func (b *base) TailAddr() pmem.Addr { return b.tail }
-
 // Len traverses the queue; test/recovery helper, not linearizable under
 // concurrency.
 func (b *base) Len(port *pmem.Port) int {
