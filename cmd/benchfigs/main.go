@@ -42,9 +42,14 @@ import (
 )
 
 // sizes are the tunables that count something a run needs at least one
-// of — keys, map segments, batch slots, combiners — so no runner can
-// measure them at zero.
-var sizes = map[string]bool{"map-keys": true, "map-shards": true, "batch-max": true, "ingress-shards": true}
+// of — keys, map segments, batch slots — so no runner can measure them
+// at zero.
+var sizes = map[string]bool{"map-keys": true, "map-shards": true, "batch-max": true}
+
+// maxima bound the tunables with a ceiling: a percentage and a 0/1
+// switch. Past it a runner would not fail but quietly run something
+// else (all Gets; the Attiya CAS).
+var maxima = map[string]int64{"read-pct": 100, "attiya": 1}
 
 // checkParams rejects a tunable value no runner can use, naming its
 // flag; params holds every tunable.
@@ -58,6 +63,8 @@ func checkParams(params workload.Params) error {
 			return fmt.Errorf("-%s must be >= 0 (got %d)", p.Name, v)
 		case v == 0 && sizes[p.Name]:
 			return fmt.Errorf("-%s must be >= 1 (got 0)", p.Name)
+		case maxima[p.Name] > 0 && v > maxima[p.Name]:
+			return fmt.Errorf("-%s must be <= %d (got %d)", p.Name, maxima[p.Name], v)
 		}
 	}
 	return nil

@@ -30,10 +30,14 @@ func TestCheckParams(t *testing.T) {
 	if err := checkParams(defaults().Set("seed-nodes", 0).Set("read-pct", 0)); err != nil {
 		t.Fatalf("zero seed or read mix rejected: %v", err)
 	}
+	if err := checkParams(defaults().Set("read-pct", 100).Set("attiya", 1)); err != nil {
+		t.Fatalf("all-Gets mix or Attiya CAS rejected: %v", err)
+	}
 	for _, c := range []struct {
 		name string
 		v    int64
-	}{{"map-shards", 0}, {"map-keys", 0}, {"batch-max", 0}, {"ingress-shards", 0}, {"seed-nodes", -1}} {
+	}{{"map-shards", 0}, {"map-keys", 0}, {"batch-max", 0}, {"seed-nodes", -1},
+		{"read-pct", 101}, {"read-pct", 150}, {"attiya", 2}, {"attiya", 7}} {
 		err := checkParams(defaults().Set(c.name, c.v))
 		if err == nil || !strings.Contains(err.Error(), "-"+c.name+" ") {
 			t.Errorf("-%s %d: got %v, want an error naming the flag", c.name, c.v, err)

@@ -65,9 +65,10 @@ func TestAuditedRoundsPass(t *testing.T) {
 // TestLongExposureRoundFitsRecorder runs the long-exposure round CI
 // runs (one process, 2000 crashes): the script loops until the quota is
 // met, so the recorded history grows with the quota and with how many
-// operations fit a crash gap. The recorder must be sized for that — an
-// overflow fails the audit — and the Call/Return protocol must stay
-// exact over some 130 000 operations per model.
+// operations fit a crash gap — past the 1<<16 events a process log once
+// held before it dropped the rest. The recorder's logs grow, so the
+// audit checks every one of them, and the Call/Return protocol must
+// stay exact over some 130 000 operations per model.
 func TestLongExposureRoundFitsRecorder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2000-crash rounds")
@@ -77,11 +78,17 @@ func TestLongExposureRoundFitsRecorder(t *testing.T) {
 		t.Fatal("no pstack stresser")
 	}
 	for _, shared := range []bool{false, true} {
-		if _, err := workload.RunRound(s, workload.StressConfig{
+		rep, err := workload.RunRound(s, workload.StressConfig{
 			Procs: 1, Crashes: 2000, Seed: 3, Shared: shared,
 			Audit: true, ArtifactDir: t.TempDir(),
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatalf("shared=%v: %v", shared, err)
+		}
+		// Two events per operation: more than 1<<15 operations is more
+		// than the old log could hold.
+		if rep.Ops <= 1<<15 {
+			t.Fatalf("shared=%v: only %d operations; the round no longer outgrows the old log", shared, rep.Ops)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -17,15 +16,15 @@ import (
 )
 
 // The batched kinds: cfg.Threads producer processes publish operation
-// records into the ingress rings fire-and-forget (ring backpressure is
-// the only wait), and ingress-shards combiner processes drain batches
-// of up to batch-max records, applying each batch inside one capsule
-// span with one PersistEpoch. Ops counts the producers' operations
-// (2*Pairs per producer, matching the unbatched kinds' op count);
-// Stats sums every process including the combiners, so fences/op and
-// flushes/op are directly comparable with the unbatched kinds.
+// records into one ingress ring fire-and-forget (ring backpressure is
+// the only wait), and one combiner process (pid cfg.Threads) drains
+// batches of up to batch-max records, applying each batch inside one
+// capsule span with one PersistEpoch. Ops counts the producers'
+// operations (2*Pairs per producer, matching the unbatched kinds' op
+// count); Stats sums every process including the combiner, so fences/op
+// and flushes/op are directly comparable with the unbatched kinds.
 //
-// Reads are not routed through the rings: the pmap-batched kind issues
+// Reads are not routed through the ring: the pmap-batched kind issues
 // its read-pct share of Gets inline on the producer via the read-only
 // fast lane, exactly as the unbatched pmap kind does.
 
@@ -36,7 +35,7 @@ const (
 	KindMapBatched   = "pmap-batched"
 )
 
-// ringCapacity sizes a shard ring: enough runway that producers rarely
+// ringCapacity sizes the ring: enough runway that producers rarely
 // stall on a draining combiner, bounded so memory stays flat.
 func ringCapacity(batchMax int) int {
 	c := 4 * batchMax
@@ -46,11 +45,11 @@ func ringCapacity(batchMax int) int {
 	return c
 }
 
-// packedGeom sizes one combiner's packed pool: its share of the
-// producers' stream plus batch slack. The benchmarks never retire
-// nodes, so the pool must hold the whole share.
-func packedGeom(T int, perProducer uint64, shards, batchMax int) (segNodes, nseg uint32) {
-	perCombiner := uint64(T)*perProducer/uint64(shards) + uint64(batchMax) + 1024
+// packedGeom sizes the combiner's packed pool: the producers' whole
+// stream plus batch slack. The benchmarks never retire nodes, so the
+// pool must hold all of it.
+func packedGeom(T int, perProducer uint64, batchMax int) (segNodes, nseg uint32) {
+	perCombiner := uint64(T)*perProducer + uint64(batchMax) + 1024
 	segNodes = 4096
 	nseg = uint32(perCombiner/uint64(segNodes)) + 2
 	return
@@ -99,23 +98,22 @@ func runStackBatched(cfg Config) Result {
 
 // runChainBatched is the one runner of the two chain-batched kinds,
 // which differ only in the structure (build constructs and seeds it,
-// then yields one applier per combiner pool) and the op code producers
-// publish.
+// then yields the applier over the combiner's packed pool) and the op
+// code producers publish.
 func runChainBatched(op uint8, seed uint32, cfg Config,
 	build func(chainEnv) func(*qnode.PackedPool) chainApplier) Result {
-	shards, batchMax := int(cfg.Param("ingress-shards")), int(cfg.Param("batch-max"))
+	batchMax := int(cfg.Param("batch-max"))
 	T := cfg.Threads
-	P := T + shards
+	P := T + 1
 	perProducer := uint64(cfg.Pairs) * 2
 
-	// Combiners allocate exclusively from per-combiner packed pools
+	// The combiner allocates exclusively from its packed pool
 	// (qnode.PackedNodesPerLine nodes per line); the base arena holds
-	// only the dummy and the seeded contents. Sizing is exact per
-	// combiner — no per-pid range split multiplying the footprint.
-	segNodes, nseg := packedGeom(T, perProducer, shards, batchMax)
+	// only the dummy and the seeded contents.
+	segNodes, nseg := packedGeom(T, perProducer, batchMax)
 	arenaCap := seed + 8
 	words := uint64(arenaCap+8)*pmem.WordsPerLine +
-		uint64(shards)*qnode.PackedWords(segNodes, nseg) +
+		qnode.PackedWords(segNodes, nseg) +
 		uint64(P)*capsule.ProcWords + 1<<16
 	mem := pmem.New(pmem.Config{
 		Words:      words,
@@ -127,15 +125,13 @@ func runChainBatched(op uint8, seed uint32, cfg Config,
 	arena := qnode.NewArena(mem, arenaCap)
 	applier := build(chainEnv{mem: mem, space: rcas.NewSpace(mem, P), arena: arena, P: P, setup: mem.NewPort(), seed: seed})
 
-	pool := ingress.NewPool(shards, ringCapacity(batchMax), batchMax, T)
+	pool := ingress.NewPool(1, ringCapacity(batchMax), batchMax, T)
 	reg := capsule.NewRegistry()
 	bases := capsule.AllocProcAreas(mem, P)
-	for s := 0; s < shards; s++ {
-		apply := applier(qnode.NewPackedPool(mem, arena, segNodes, nseg, P))
-		comb := ingress.RegisterGroupCombiner(reg, fmt.Sprintf("combine-%d", s), pool, s,
-			ingress.ChainApplier(batchMax, apply), nil)
-		capsule.Install(rt.Proc(T+s).Mem(), bases[T+s], reg, comb)
-	}
+	apply := applier(qnode.NewPackedPool(mem, arena, segNodes, nseg, P))
+	comb := ingress.RegisterGroupCombiner(reg, "combine-0", pool, 0,
+		ingress.ChainApplier(batchMax, apply), nil)
+	capsule.Install(rt.Proc(T).Mem(), bases[T], reg, comb)
 
 	start := time.Now()
 	rt.RunToCompletion(func(i int) proc.Program {
@@ -145,7 +141,7 @@ func runChainBatched(op uint8, seed uint32, cfg Config,
 			}
 		}
 		return func(p *proc.Proc) {
-			ring := pool.Shard(i % shards).Ring
+			ring := pool.Shard(0).Ring
 			spin := func() { p.Step() }
 			for k := uint64(0); k < perProducer; k++ {
 				ring.Publish(ingress.Record{Op: op, Pid: int32(i), A: uint64(i)<<40 | k}, spin)
@@ -158,9 +154,9 @@ func runChainBatched(op uint8, seed uint32, cfg Config,
 }
 
 func runMapBatched(cfg Config) Result {
-	shards, batchMax := int(cfg.Param("ingress-shards")), int(cfg.Param("batch-max"))
+	batchMax := int(cfg.Param("batch-max"))
 	T := cfg.Threads
-	P := T + shards
+	P := T + 1
 	keys := int(cfg.Param("map-keys"))
 	buckets := 2 * keys
 	readPct := int(cfg.Param("read-pct"))
@@ -171,7 +167,7 @@ func runMapBatched(cfg Config) Result {
 	// (BENCH_7.json, BENCH_7_before.json). No figure point varies it.
 	window := pmap.DefaultBatchWindow
 
-	words := pmap.BatchWords(buckets, 1, P, shards, 0, window) +
+	words := pmap.BatchWords(buckets, 1, P, 1, 0, window) +
 		uint64(P)*capsule.ProcWords + uint64(keys)*4 + 1<<16
 	mem := pmem.New(pmem.Config{
 		Words:      words,
@@ -186,36 +182,19 @@ func runMapBatched(cfg Config) Result {
 	}
 	m := pmap.New(pmap.Config{
 		Mem: mem, P: P, Buckets: buckets, Shards: 1, Opt: true, Durable: true,
-		BatchCombiners: shards, BatchWindow: window,
+		BatchCombiners: 1, BatchWindow: window,
 	})
 	setup := mem.NewPort()
 	m.Init(setup, initial)
 	m.Bind(rt)
-	ba := pmap.NewBatchApplier(m)
+	apply, closeWindow := pmap.NewBatchApplier(m).GroupApply(batchMax)
 
-	pool := ingress.NewPool(shards, ringCapacity(batchMax), batchMax, T)
+	pool := ingress.NewPool(1, ringCapacity(batchMax), batchMax, T)
 	reg := capsule.NewRegistry()
 	m.Register(reg)
 	bases := capsule.AllocProcAreas(mem, P)
-	combiners := make([]capsule.RoutineID, shards)
-	for s := 0; s < shards; s++ {
-		batchOps := make([]pmap.BatchOp, batchMax)
-		combiners[s] = ingress.RegisterGroupCombiner(reg, fmt.Sprintf("combine-m%d", s), pool, s,
-			func(c *capsule.Ctx, batch []ingress.Record) bool {
-				for i := range batch {
-					batchOps[i] = pmap.BatchOp{Del: batch[i].Op == ingress.OpDelete,
-						K: batch[i].A, V: batch[i].B}
-				}
-				if !ba.Apply(c, batchOps[:len(batch)]) {
-					panic("harness: map batch rejected; table is sized to never fill")
-				}
-				return ba.Deferred(c.P().ID())
-			},
-			func(c *capsule.Ctx) { ba.Close(c.P().ID()) })
-	}
-	for s := 0; s < shards; s++ {
-		capsule.Install(rt.Proc(T+s).Mem(), bases[T+s], reg, combiners[s])
-	}
+	comb := ingress.RegisterGroupCombiner(reg, "combine-m0", pool, 0, apply, closeWindow)
+	capsule.Install(rt.Proc(T).Mem(), bases[T], reg, comb)
 	for i := 0; i < T; i++ {
 		capsule.InstallIdle(rt.Proc(i).Mem(), bases[i], reg, m.Routine())
 	}
@@ -229,7 +208,7 @@ func runMapBatched(cfg Config) Result {
 		}
 		return func(p *proc.Proc) {
 			// Reads ride the fast lane inline; writes go through the
-			// rings, routed by key so each key has one combiner.
+			// ring to the one combiner.
 			mach := capsule.NewMachine(p, reg, bases[i])
 			rng := rand.New(rand.NewSource(int64(i) + 1))
 			spin := func() { p.Step() }
@@ -246,7 +225,7 @@ func runMapBatched(cfg Config) Result {
 					rec.Op = ingress.OpPut
 					rec.B = uint64(n)
 				}
-				pool.Shard(pmap.RouteKey(k, shards)).Ring.Publish(rec, spin)
+				pool.Shard(0).Ring.Publish(rec, spin)
 				p.Step()
 			}
 			pool.MarkDone(i)

@@ -217,7 +217,7 @@ func TestRegistryLookups(t *testing.T) {
 		{"probes", names(len(probes), func(i int) string { return probes[i].Name }),
 			"logqueue,capsule+rcas"},
 		{"params", names(len(params), func(i int) string { return params[i].Name }),
-			"batch-max,ingress-shards,seed-nodes,attiya,read-pct,map-keys,map-shards,stack-seed"},
+			"batch-max,seed-nodes,attiya,read-pct,map-keys,map-shards,stack-seed"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %s, want %s", c.table, c.got, c.want)

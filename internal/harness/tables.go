@@ -20,8 +20,6 @@ func Params() []workload.Param {
 	return []workload.Param{
 		{Name: "batch-max", Default: 64,
 			Help: "batched kinds: max operations per combiner batch"},
-		{Name: "ingress-shards", Default: 1,
-			Help: "batched kinds: MPSC ring/combiner shards"},
 		// 200000 matches the default the benchfigs CLI always used, so
 		// regenerated tables stay comparable with recorded ones.
 		{Name: "seed-nodes", Default: 200000,

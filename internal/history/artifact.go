@@ -29,7 +29,6 @@ type Artifact struct {
 	TotalOps   int         `json:"totalOps"`
 	Crashes    int         `json:"crashes"`
 	Restarts   int         `json:"restarts"`
-	Dropped    uint64      `json:"droppedEvents,omitempty"`
 	Violations []Violation `json:"violations"`
 	// MinimalOps is the union of the violations' witness operations,
 	// deduplicated and in invocation order — the minimal failing
@@ -48,7 +47,6 @@ func NewArtifact(meta RunMeta, h *History, violations []Violation, stats pmem.St
 		TotalOps:   len(h.Ops),
 		Crashes:    len(h.Crashes),
 		Restarts:   h.Restarts,
-		Dropped:    h.Dropped,
 		Violations: violations,
 		CrashMarks: h.Crashes,
 		Final:      h.Final,

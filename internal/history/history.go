@@ -73,7 +73,6 @@ type History struct {
 	Restarts int        `json:"restarts"`
 	Final    FinalState `json:"final"`
 	Procs    int        `json:"procs"`
-	Dropped  uint64     `json:"dropped,omitempty"`
 }
 
 type opKey struct {
@@ -90,7 +89,6 @@ func (r *Recorder) History() *History {
 	}
 	h := &History{
 		Procs:   len(r.logs),
-		Dropped: r.Dropped(),
 		Crashes: append([]Event(nil), r.crashes...),
 	}
 	merged := make(map[opKey]*OpRecord)

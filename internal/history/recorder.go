@@ -6,13 +6,13 @@
 // persisted accounting, but it is blind to ordering — a recovered queue
 // that delivers values out of FIFO order passes a conservation check.
 // The recorder closes that gap: stress drivers announce every operation
-// (Invoke) and its completion (Return) into per-process fixed-capacity
-// append-only logs, the proc runtime places full-system crash markers
-// into the same global order while every process is stopped, and the
-// offline checker then demands durable linearizability ("The Path to
-// Durable Linearizability"): operations completed before a crash must
-// linearize before it, and operations in flight at a crash may be
-// dropped or included — but exactly once. A detectability pass
+// (Invoke) and its completion (Return) into per-process append-only
+// logs, the proc runtime places full-system crash markers into the same
+// global order while every process is stopped, and the offline checker
+// then demands durable linearizability ("The Path to Durable
+// Linearizability"): operations completed before a crash must linearize
+// before it, and operations in flight at a crash may be dropped or
+// included — but exactly once. A detectability pass
 // ("Practical Detectability") cross-checks the per-op completed/
 // not-completed verdict recovered from the capsule restart pointer
 // against the trace.
@@ -23,10 +23,11 @@
 // the durable record of what *survived*.
 //
 // Hot-path discipline: recording takes no locks — each simulated
-// process appends only to its own pre-allocated log, and the global
-// order comes from one atomic ticket counter. A nil *Recorder is valid
-// and records nothing, so disabled runs pay no allocations and no
-// branches beyond the nil check.
+// process appends only to its own growing log, and the global order
+// comes from one atomic ticket counter. Logs are never capped, so a
+// long round's history is never cut short. A nil *Recorder is valid and
+// records nothing, so disabled runs pay no allocations and no branches
+// beyond the nil check.
 package history
 
 import (
@@ -148,84 +149,37 @@ type Event struct {
 	Fences  uint64 `json:"fences,omitempty"`
 }
 
-// DefaultCapacity is the per-process event-log capacity used when
-// NewRecorder is given a non-positive one. Logs never grow: events past
-// capacity are counted in Dropped and the audit reports the truncation
-// instead of silently checking a partial history.
-const DefaultCapacity = 1 << 16
-
-// crashCapacity bounds the global crash-marker log.
-const crashCapacity = 1 << 14
-
-// minOpSteps is a floor on the instrumented steps of one recorded
-// operation driven through a capsule driver: the cheapest measured, a
-// read-only-tier map Get with its Call and driver boundary, takes about
-// 34, so 24 leaves slack for cheaper protocols to come.
-const minOpSteps = 24
-
-// StressCapacity sizes a recorder's per-process log for a quota-driven
-// stress round: the scripts loop until the crash quota is met, so the
-// recorded op count scales with the quota and the crash gap, not the
-// script length. Between two crashes a process runs at most maxGap
-// steps, hence at most maxGap/minOpSteps operations of two events each.
-// Undershooting is loud (the audit fails on overflow rather than check
-// a truncated history), so the bound is generous.
-func StressCapacity(ops, crashes int, maxGap int64) int {
-	c := 4*ops + crashes*int(2*maxGap/minOpSteps) + 1<<14
-	if c < DefaultCapacity {
-		c = DefaultCapacity
-	}
-	return c
-}
-
 // Recorder records operation events for a fixed set of processes.
 // Methods are nil-safe: a nil Recorder records nothing.
 type Recorder struct {
-	ticket         atomic.Uint64
-	epoch          atomic.Uint64
-	logs           [][]Event
-	invAt          []pmem.Stats // per-process stats snapshot at the last Invoke
-	dropped        []uint64
-	crashes        []Event
-	crashesDropped uint64
+	ticket  atomic.Uint64
+	epoch   atomic.Uint64
+	logs    [][]Event
+	invAt   []pmem.Stats // per-process stats snapshot at the last Invoke
+	crashes []Event
 }
 
-// NewRecorder creates a recorder for procs processes with the given
-// per-process log capacity (non-positive selects DefaultCapacity). All
-// log memory is allocated up front so the recording hot path never
-// allocates.
-func NewRecorder(procs, capacity int) *Recorder {
+// NewRecorder creates a recorder for procs processes. Each log is a
+// plain growing slice, so a history is never cut short; appends
+// allocate only when a log doubles, nothing per event amortized.
+func NewRecorder(procs int) *Recorder {
 	if procs < 1 {
 		panic("history: NewRecorder needs at least one process")
 	}
-	if capacity <= 0 {
-		capacity = DefaultCapacity
+	return &Recorder{
+		logs:  make([][]Event, procs),
+		invAt: make([]pmem.Stats, procs),
 	}
-	r := &Recorder{
-		logs:    make([][]Event, procs),
-		invAt:   make([]pmem.Stats, procs),
-		dropped: make([]uint64, procs),
-		crashes: make([]Event, 0, crashCapacity),
-	}
-	for i := range r.logs {
-		r.logs[i] = make([]Event, 0, capacity)
-	}
-	return r
 }
 
 // Enabled reports whether events are being recorded.
 func (r *Recorder) Enabled() bool { return r != nil }
 
 func (r *Recorder) append(proc int, e Event) {
-	log := r.logs[proc]
-	if len(log) == cap(log) {
-		r.dropped[proc]++
-		return
-	}
 	e.Ticket = r.ticket.Add(1)
 	e.Epoch = r.epoch.Load()
 	e.Proc = int32(proc)
-	r.logs[proc] = append(log, e)
+	r.logs[proc] = append(r.logs[proc], e)
 }
 
 // Invoke announces operation (op, id) of process proc with its
@@ -262,10 +216,6 @@ func (r *Recorder) Crash() {
 		return
 	}
 	ep := r.epoch.Add(1)
-	if len(r.crashes) == cap(r.crashes) {
-		r.crashesDropped++
-		return
-	}
 	r.crashes = append(r.crashes, Event{
 		Ticket: r.ticket.Add(1), Epoch: ep, Proc: -1, Kind: EvCrash, ID: ep,
 	})
@@ -286,20 +236,6 @@ func (r *Recorder) Epochs() uint64 {
 		return 0
 	}
 	return r.epoch.Load()
-}
-
-// Dropped returns how many events overflowed the fixed-capacity logs.
-// Any non-zero value makes the audit fail explicitly rather than check
-// a truncated history.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	n := r.crashesDropped
-	for _, d := range r.dropped {
-		n += d
-	}
-	return n
 }
 
 // Events returns the total number of recorded events.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRecorderMergeAndOrder(t *testing.T) {
-	r := NewRecorder(2, 0)
+	r := NewRecorder(2)
 	var st pmem.Stats
 	r.Invoke(0, OpEnq, 0, 100, 0, st)
 	st.Flushes, st.Fences = 3, 1
@@ -50,7 +50,7 @@ func TestRecorderMergeAndOrder(t *testing.T) {
 }
 
 func TestRecorderReplayMismatch(t *testing.T) {
-	r := NewRecorder(1, 0)
+	r := NewRecorder(1)
 	var st pmem.Stats
 	r.Invoke(0, OpDeq, 7, 0, 0, st)
 	r.Return(0, OpDeq, 7, true, 42, st)
@@ -79,18 +79,19 @@ func TestRecorderDisabledZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestRecorderEnabledZeroAllocs pins the enabled cost: all log memory
-// is pre-allocated, so recording allocates nothing and appends exactly
-// one event per Invoke/Return call.
+// TestRecorderEnabledZeroAllocs pins the enabled cost: a log grows by
+// doubling, so recording allocates nothing per event amortized
+// (AllocsPerRun divides the few growth allocations across 4096 runs),
+// and appends exactly one event per Invoke/Return call.
 func TestRecorderEnabledZeroAllocs(t *testing.T) {
-	r := NewRecorder(1, 1<<12)
+	r := NewRecorder(1)
 	var st pmem.Stats
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := testing.AllocsPerRun(1<<12, func() {
 		r.Invoke(0, OpEnq, 1, 2, 0, st)
 		r.Return(0, OpEnq, 1, true, 0, st)
 	})
 	if allocs != 0 {
-		t.Errorf("enabled recorder allocates %.1f per op event, want 0", allocs)
+		t.Errorf("enabled recorder allocates %.1f per op event, want 0 amortized", allocs)
 	}
 	before := r.Events()
 	r.Invoke(0, OpDeq, 9, 0, 0, st)
@@ -100,33 +101,63 @@ func TestRecorderEnabledZeroAllocs(t *testing.T) {
 	}
 }
 
+// oldLogCap is the per-process log capacity recorders once had, past
+// which events were dropped; the tests below record beyond it.
+const oldLogCap = 1 << 16
+
+// TestRecorderOverflow: a process recording more events than the old
+// fixed log held keeps every one, and all of them merge into ops.
 func TestRecorderOverflow(t *testing.T) {
-	r := NewRecorder(1, 4)
+	r := NewRecorder(1)
 	var st pmem.Stats
-	for i := uint64(0); i < 10; i++ {
+	const n = oldLogCap/2 + 10
+	for i := uint64(0); i < n; i++ {
 		r.Invoke(0, OpEnq, i, i, 0, st)
+		r.Return(0, OpEnq, i, true, 0, st)
 	}
-	if r.Events() != 4 {
-		t.Fatalf("fixed-capacity log grew: %d events, want 4", r.Events())
+	if r.Events() != 2*n {
+		t.Fatalf("%d events recorded, want %d", r.Events(), 2*n)
 	}
-	if r.Dropped() != 6 {
-		t.Fatalf("dropped %d, want 6", r.Dropped())
+	h := r.History()
+	if len(h.Ops) != n {
+		t.Fatalf("merged %d ops, want %d", len(h.Ops), n)
 	}
-	if h := r.History(); h.Dropped != 6 {
-		t.Fatalf("history reports %d dropped, want 6", h.Dropped)
+	for i, op := range h.Ops {
+		if op.ID != uint64(i) || op.Arg != uint64(i) || !op.Returned || op.Invokes != 1 || op.Returns != 1 {
+			t.Fatalf("op %d mangled: %+v", i, op)
+		}
 	}
 }
 
+// TestStressCapacityFloor: a multi-process history with more events per
+// process than the old log capacity and more crash markers than the old
+// crash-log capacity (1<<14) loses nothing.
 func TestStressCapacityFloor(t *testing.T) {
-	if c := StressCapacity(0, 0, 0); c != DefaultCapacity {
-		t.Fatalf("zero-config capacity %d, want the default %d", c, DefaultCapacity)
+	const procs, perProc, crashes = 3, oldLogCap/2 + 1, 1<<14 + 1
+	r := NewRecorder(procs)
+	var st pmem.Stats
+	for i := uint64(0); i < perProc; i++ {
+		for p := 0; p < procs; p++ {
+			r.Invoke(p, OpPut, i, i, uint64(p), st)
+			r.Return(p, OpPut, i, true, 0, st)
+		}
+		if i < crashes {
+			r.Crash()
+		}
 	}
-	if c := StressCapacity(1000, 5000, 2500); c <= DefaultCapacity {
-		t.Fatalf("big quota capacity %d should exceed the default", c)
+	if want := procs*perProc*2 + crashes; r.Events() != want {
+		t.Fatalf("%d events recorded, want %d", r.Events(), want)
 	}
-	// The per-crash allowance follows the gap: a longer gap fits more
-	// operations between two crashes.
-	if short, long := StressCapacity(0, 2000, 2800), StressCapacity(0, 2000, 5600); long <= short {
-		t.Fatalf("capacity %d at gap 5600, %d at gap 2800: allowance does not grow with the gap", long, short)
+	h := r.History()
+	if len(h.Crashes) != crashes || r.Epochs() != crashes {
+		t.Fatalf("%d crash markers, %d epochs; want %d", len(h.Crashes), r.Epochs(), crashes)
+	}
+	if len(h.Ops) != procs*perProc {
+		t.Fatalf("merged %d ops, want %d", len(h.Ops), procs*perProc)
+	}
+	for _, op := range h.Ops {
+		if !op.Returned || op.Invokes != 1 || op.Returns != 1 || op.Arg2 != uint64(op.Proc) {
+			t.Fatalf("op mangled: %+v", op)
+		}
 	}
 }

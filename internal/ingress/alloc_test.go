@@ -143,15 +143,15 @@ func TestGroupSpanCloseZeroAlloc(t *testing.T) {
 	m := pmap.New(pmap.Config{Mem: mem, P: P, Buckets: buckets, Shards: 1, Opt: true, Durable: true, BatchCombiners: 1})
 	m.Init(mem.NewPort(), nil)
 	m.Bind(rt)
-	ba := pmap.NewBatchApplier(m)
+	apply, closeWindow := pmap.NewBatchApplier(m).GroupApply(batchMax)
 
 	pool := ingress.NewPool(1, 32, batchMax, 1)
 	pool.MarkDone(0) // each Invoke runs one span, then finishes on the empty ring
 	reg := capsule.NewRegistry()
 	bases := capsule.AllocProcAreas(mem, P)
 	closes := 0
-	comb := ingress.RegisterGroupCombiner(reg, "alloc-comb-m", pool, 0, mapApply(ba, batchMax),
-		func(c *capsule.Ctx) { closes++; ba.Close(c.P().ID()) })
+	comb := ingress.RegisterGroupCombiner(reg, "alloc-comb-m", pool, 0, apply,
+		func(c *capsule.Ctx) { closes++; closeWindow(c) })
 	capsule.Install(rt.Proc(combiner).Mem(), bases[combiner], reg, comb)
 
 	ring := pool.Shard(0).Ring

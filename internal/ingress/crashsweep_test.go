@@ -182,22 +182,6 @@ func stackRig(mode pmem.Mode) *sweepRig {
 	}}
 }
 
-// mapApply adapts the map's group-commit applier to the combiner, the
-// way the harness and the benchmark do; the table is sized never to
-// fill.
-func mapApply(ba *pmap.BatchApplier, batchMax int) ingress.GroupApply {
-	ops := make([]pmap.BatchOp, batchMax)
-	return func(c *capsule.Ctx, batch []ingress.Record) bool {
-		for i := range batch {
-			ops[i] = pmap.BatchOp{Del: batch[i].Op == ingress.OpDelete, K: batch[i].A, V: batch[i].B}
-		}
-		if !ba.Apply(c, ops[:len(batch)]) {
-			panic("map batch rejected")
-		}
-		return ba.Deferred(c.P().ID())
-	}
-}
-
 func mapRig(mode pmem.Mode) *sweepRig {
 	const buckets = 16
 	// Window larger than the batch: apply never auto-closes, so the sweep
@@ -213,14 +197,14 @@ func mapRig(mode pmem.Mode) *sweepRig {
 	setup := mem.NewPort()
 	m.Init(setup, nil)
 	m.Bind(rt)
-	ba := pmap.NewBatchApplier(m)
+	apply, closeWindow := pmap.NewBatchApplier(m).GroupApply(sweepBatch)
 	recs := make([]ingress.Record, sweepBatch)
 	done := make([]atomic.Uint64, sweepBatch)
 	for i := range recs {
 		recs[i] = ingress.Record{Op: ingress.OpPut, A: sweepKey(i), B: sweepVal(i), Token: uint64(i + 1), Done: &done[i]}
 	}
 	rig := &sweepRig{rt: rt, subset: true}
-	rig.run = combinerRig(mem, rt, mapApply(ba, sweepBatch), func(c *capsule.Ctx) { ba.Close(c.P().ID()) }, recs)
+	rig.run = combinerRig(mem, rt, apply, closeWindow, recs)
 	rig.applied = func(t *testing.T) int {
 		t.Helper()
 		if rig.crashed() {

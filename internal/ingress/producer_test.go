@@ -40,7 +40,7 @@ func runAbandon(crashAfter int64) abandonRun {
 	rt := proc.NewRuntime(mem, 2)
 	pool := NewPool(1, stressRingCap, StressBatchMax, 1)
 	ring := pool.Shard(0).Ring
-	rec := history.NewRecorder(1, 0)
+	rec := history.NewRecorder(1)
 	reg := capsule.NewRegistry()
 	var run abandonRun
 	var released, applied, acked atomic.Uint64

@@ -237,10 +237,7 @@ func (b BatchedStress) Spec() workload.StressSpec {
 		Gang:    b.Gang,
 		MinGap:  b.MinGap,
 		MaxGap:  func(minGap int64) int64 { return 3 * minGap },
-		// Event volume is gap-driven: producers keep attempting until
-		// the crash quota is met.
-		Events: func(r *workload.Round) int { return r.Ops + r.Crashes*int(r.MaxGap)/15 },
-		Words:  b.Words,
+		Words:   b.Words,
 		Build: func(r *workload.Round) workload.Hooks {
 			P, attempts := r.Procs, uint64(r.Ops)
 			f := b.Build(r)

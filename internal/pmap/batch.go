@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"delayfree/internal/capsule"
+	"delayfree/internal/ingress"
 	"delayfree/internal/wcas"
 )
 
@@ -36,14 +37,6 @@ import (
 type BatchOp struct {
 	Del  bool
 	K, V uint64
-}
-
-// RouteKey returns the ingress shard (out of nshards) responsible for
-// key k. Producers and the harness must route through this so that
-// each key is applied by exactly one combiner, preserving per-key
-// order; it reuses the map's own hash so the split is uniform.
-func RouteKey(k uint64, nshards int) int {
-	return int((mix(k) >> 48) % uint64(nshards))
 }
 
 type batchLoc struct {
@@ -109,6 +102,25 @@ func (a *BatchApplier) state(pid int) *applierState {
 	}
 	a.st[pid] = st
 	return st
+}
+
+// GroupApply adapts a to an ingress group combiner, the map's
+// counterpart of ingress.ChainApplier: each record is one put or delete
+// (A the key, B the value) in batches of at most batchMax, and
+// closeWindow is the combiner's window-close hook. Callers size the
+// table never to fill, so a rejected batch panics.
+func (a *BatchApplier) GroupApply(batchMax int) (apply ingress.GroupApply, closeWindow func(c *capsule.Ctx)) {
+	ops := make([]BatchOp, batchMax)
+	apply = func(c *capsule.Ctx, batch []ingress.Record) bool {
+		for i := range batch {
+			ops[i] = BatchOp{Del: batch[i].Op == ingress.OpDelete, K: batch[i].A, V: batch[i].B}
+		}
+		if !a.Apply(c, ops[:len(batch)]) {
+			panic("pmap: map batch rejected; the table is sized never to fill")
+		}
+		return a.Deferred(c.P().ID())
+	}
+	return apply, func(c *capsule.Ctx) { a.Close(c.P().ID()) }
 }
 
 // Apply runs one batch through the three-phase group commit. It returns

@@ -3,7 +3,6 @@ package pmap
 import (
 	"fmt"
 
-	"delayfree/internal/capsule"
 	"delayfree/internal/history"
 	"delayfree/internal/ingress"
 	"delayfree/internal/workload"
@@ -79,8 +78,7 @@ func batchedStressSpec() workload.StressSpec {
 			setup := r.Mem.NewPort()
 			m.Init(setup, nil)
 			m.Bind(r.RT)
-			ba := NewBatchApplier(m)
-			ops := make([]BatchOp, ingress.StressBatchMax)
+			apply, closeWindow := NewBatchApplier(m).GroupApply(ingress.StressBatchMax)
 			return ingress.BatchedHooks{
 				Attempt: func(pid int, attempt uint64) ingress.Attempt {
 					k := batchedKey(pid, attempt)
@@ -92,16 +90,8 @@ func batchedStressSpec() workload.StressSpec {
 						HOp: history.OpPut,
 					}
 				},
-				Apply: func(c *capsule.Ctx, batch []ingress.Record) bool {
-					for i := range batch {
-						ops[i] = BatchOp{Del: batch[i].Op == ingress.OpDelete, K: batch[i].A, V: batch[i].B}
-					}
-					if !ba.Apply(c, ops[:len(batch)]) {
-						panic("pmap: stress batch rejected; table sized to never fill")
-					}
-					return ba.Deferred(c.P().ID())
-				},
-				Close: func(c *capsule.Ctx) { ba.Close(c.P().ID()) },
+				Apply: apply,
+				Close: closeWindow,
 				// One writable-CAS pool recovery per crash wave, before the
 				// combiner resumes writing.
 				Wave:  m.Recover,

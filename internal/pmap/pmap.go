@@ -76,8 +76,8 @@ type Config struct {
 	// ingress combiners that will drive a BatchApplier. 0 disables the
 	// tier (no extent is allocated; NewBatchApplier panics). Each
 	// segment reserves BatchCombiners claims of extent lines, because
-	// ingress routing (RouteKey) and segment selection (locate) hash
-	// different bits — any combiner may write any segment.
+	// combiners are not bound to segments: segment selection (locate)
+	// hashes the key, so any combiner may write any segment.
 	BatchCombiners int
 	// BatchWindow caps the swings a combiner defers before its window
 	// auto-closes (flush+fence of the swung Ptr words). 0 picks

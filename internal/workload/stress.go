@@ -44,9 +44,6 @@ type StressSpec struct {
 	// pass) after a restart wave, or the round livelocks.
 	MinGap func(n int) int64
 	MaxGap func(minGap int64) int64
-	// Events estimates the operations one process records, for sizing
-	// the audit recorder; nil means r.Ops.
-	Events func(r *Round) int
 	// Words sizes the memory, capsule process areas excluded.
 	Words func(r *Round) uint64
 	// Build constructs the structure in r.Mem, registers its routines
@@ -133,8 +130,10 @@ func RunRound(spec StressSpec, cfg StressConfig) (StressReport, error) {
 	if r.MinGap == 0 {
 		r.MinGap = spec.MinGap(r.N)
 	}
-	if r.MaxGap < r.MinGap {
+	if r.MaxGap == 0 {
 		r.MaxGap = spec.MaxGap(r.MinGap)
+	} else if r.MaxGap < r.MinGap {
+		return StressReport{}, fmt.Errorf("%s: MaxGap %d is below MinGap %d", spec.Name, r.MaxGap, r.MinGap)
 	}
 	mode := pmem.Private
 	if r.Shared {
@@ -169,11 +168,7 @@ func RunRound(spec StressSpec, cfg StressConfig) (StressReport, error) {
 	if r.Audit {
 		// The recorder lives in host memory: it is the volatile ground
 		// truth the durable state is checked against.
-		events := r.Ops
-		if spec.Events != nil {
-			events = spec.Events(r)
-		}
-		r.Rec = history.NewRecorder(r.Procs, history.StressCapacity(events, r.Crashes, r.MaxGap))
+		r.Rec = history.NewRecorder(r.Procs)
 	}
 
 	h := spec.Build(r)
@@ -287,14 +282,7 @@ func RunRound(spec StressSpec, cfg StressConfig) (StressReport, error) {
 // checker still runs in full.
 func audit(check func(*history.History) []history.Violation, meta history.RunMeta, dir string,
 	h *history.History, completed []uint64, stats pmem.Stats) error {
-	var violations []history.Violation
-	if h.Dropped > 0 {
-		violations = append(violations, history.Violation{
-			Spec: "trace", Code: "overflow",
-			Msg: fmt.Sprintf("%d events overflowed the recorder; the history is incomplete — raise the recorder capacity", h.Dropped),
-		})
-	}
-	violations = append(violations, check(h)...)
+	violations := check(h)
 	if completed != nil {
 		violations = append(violations, history.CheckDetectability(h, completed)...)
 	}

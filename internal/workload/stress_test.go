@@ -115,6 +115,15 @@ func TestRoundRejectsNegativeConfig(t *testing.T) {
 	}
 }
 
+// TestRoundRejectsMaxGapBelowMinGap: a caller's MaxGap is used as given
+// or refused, never replaced by the derived one; zero still derives it.
+func TestRoundRejectsMaxGapBelowMinGap(t *testing.T) {
+	_, err := RunRound((&fakeRound{}).spec(), StressConfig{MinGap: 1000, MaxGap: 500})
+	if err == nil || !strings.Contains(err.Error(), "MaxGap 500 is below MinGap 1000") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 func TestRoundRejectsSpecWithoutChecker(t *testing.T) {
 	spec := (&fakeRound{}).spec()
 	spec.Checker = nil

@@ -204,7 +204,8 @@ type StressConfig struct {
 	// crashes destroy only volatile state.
 	Shared bool
 	// MinGap/MaxGap bound the instrumented-step gap between injected
-	// crashes; zero derives livelock-safe values from the geometry.
+	// crashes; zero derives livelock-safe values from the geometry, and a
+	// nonzero MaxGap below MinGap is refused.
 	MinGap, MaxGap int64
 	// Audit enables history recording and the durable-linearizability
 	// ordering audit: the stresser records every operation, the round's
