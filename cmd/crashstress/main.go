@@ -30,16 +30,18 @@
 // by name; "all" runs everything. Exit status is non-zero if any round
 // finds a violation.
 //
-// -audit order additionally records a full operation history per round
-// (invocations, returns, crash markers, per-op flush/fence deltas) and
-// runs the family's durable-linearizability checker plus the
-// detectability cross-check over it; a violating round dumps a
-// machine-readable minimal failing history into -artifact-dir. Every
-// round also prints a stats delta line — the pmem counters the round
-// consumed, normalized per operation.
+// Every round also records its full operation history (invocations,
+// returns, crash markers, per-op flush/fence deltas) and runs the
+// family's durable-linearizability checker plus the detectability
+// cross-check over it; a violating round dumps a machine-readable
+// minimal failing history into -artifact-dir. Every round prints a
+// stats delta line — the pmem counters the round consumed, normalized
+// per operation. Bad flag values exit with status 2 before any round
+// runs.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -47,6 +49,21 @@ import (
 	"delayfree/internal/harness"
 	"delayfree/internal/workload"
 )
+
+// checkFlags rejects flag values no round can use, naming the flags:
+// rounds and the counts and gaps of cfg, the configuration every round
+// starts from. A nonzero -max-gap below -min-gap is refused here, before
+// any round; RunRound still refuses a -max-gap below the -min-gap it
+// derives when -min-gap is 0.
+func checkFlags(rounds int, cfg workload.StressConfig) error {
+	if rounds < 0 || cfg.Procs < 0 || cfg.Ops < 0 || cfg.Crashes < 0 || cfg.MinGap < 0 || cfg.MaxGap < 0 {
+		return errors.New("negative -rounds/-procs/-ops/-crashes/-min-gap/-max-gap")
+	}
+	if cfg.MaxGap != 0 && cfg.MaxGap < cfg.MinGap {
+		return fmt.Errorf("-max-gap %d is below -min-gap %d", cfg.MaxGap, cfg.MinGap)
+	}
+	return nil
+}
 
 func main() {
 	sel := flag.String("workload", "all", "family or stresser name to stress, or all")
@@ -58,25 +75,28 @@ func main() {
 	minGap := flag.Int64("min-gap", 0, "minimum instrumented steps between crashes; 0 derives a livelock-safe gap")
 	maxGap := flag.Int64("max-gap", 0, "maximum instrumented steps between crashes; 0 derives it")
 	list := flag.Bool("list", false, "list the stressers and exit")
-	audit := flag.String("audit", "", `history audits to run per round: "order" records every operation and checks durable linearizability + detectability; empty disables`)
 	artifactDir := flag.String("artifact-dir", "", "directory for failing-history JSON artifacts (default: OS temp dir)")
 	flag.Parse()
 
-	if *rounds < 0 || *procs < 0 || *ops < 0 || *crashes < 0 || *minGap < 0 || *maxGap < 0 {
-		fmt.Fprintln(os.Stderr, "negative -rounds/-procs/-ops/-crashes/-min-gap/-max-gap")
-		os.Exit(2)
+	cfg := workload.StressConfig{
+		Procs:       *procs,
+		Ops:         *ops,
+		Crashes:     *crashes,
+		MinGap:      *minGap,
+		MaxGap:      *maxGap,
+		ArtifactDir: *artifactDir,
 	}
-	if *audit != "" && *audit != "order" {
-		fmt.Fprintf(os.Stderr, "unknown -audit mode %q (supported: order)\n", *audit)
+	if err := checkFlags(*rounds, cfg); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	// Every stresser carries its history checker (RunRound refuses one
-	// without), so every round can be audited.
+	// without), so every round is audited.
 	stressers := harness.Stressers()
 	if *list {
 		for _, s := range stressers {
-			fmt.Printf("%-16s family=%s audit=order\n", s.Name, s.Family)
+			fmt.Printf("%-16s family=%s\n", s.Name, s.Family)
 		}
 		return
 	}
@@ -91,17 +111,8 @@ func main() {
 		for _, shared := range []bool{false, true} {
 			for r := 0; r < *rounds; r++ {
 				roundSeed := *seed + int64(r)*7919
-				rep, err := workload.RunRound(s, workload.StressConfig{
-					Procs:       *procs,
-					Ops:         *ops,
-					Crashes:     *crashes,
-					Seed:        roundSeed,
-					Shared:      shared,
-					MinGap:      *minGap,
-					MaxGap:      *maxGap,
-					Audit:       *audit == "order",
-					ArtifactDir: *artifactDir,
-				})
+				cfg.Seed, cfg.Shared = roundSeed, shared
+				rep, err := workload.RunRound(s, cfg)
 				if err != nil {
 					failures++
 					fmt.Printf("FAIL %-16s shared=%-5v seed=%-8d %v\n", s.Name, shared, roundSeed, err)

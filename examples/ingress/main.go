@@ -42,7 +42,6 @@ func main() {
 			Ops:    120, // jobs attempted per producer, at least
 			Seed:   7,
 			Shared: shared,
-			Audit:  true,
 		})
 		if err != nil {
 			panic(err)

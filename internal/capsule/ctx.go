@@ -150,7 +150,11 @@ func (c *Ctx) Boundary(nextPC int) {
 // The caller's obligation is that every capsule between the last
 // persisted boundary and the next persisted commit tolerates
 // re-execution from the top (pure reads trivially do; effectful
-// successors must be idempotent, like pmap's blind value writes).
+// successors must be idempotent, like pmap's blind value writes). A
+// blind write is safe to re-run only while its operation is pending:
+// once a light Invoke has completed that operation volatilely, the
+// re-run can undo later operations' writes (DESIGN.md, "Open hazard
+// at depth 0").
 // Capsules downstream of an elided boundary must NOT rely on
 // recoverable-CAS repetition detection: CheckRecovery needs the exact
 // persisted descriptor and sequence number of the interrupted attempt,

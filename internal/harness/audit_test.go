@@ -27,8 +27,8 @@ func TestNoAuditCoverageGaps(t *testing.T) {
 // stresser at the default seed: the round must absorb its
 // crash quota AND the recorded history must satisfy the family's
 // durable-linearizability checker plus the detectability cross-check.
-// This is the acceptance gate for `crashstress -audit order` — every
-// smoke round must stay clean at the default seed.
+// This is the acceptance gate for crashstress, which audits every
+// round — every smoke round must stay clean at the default seed.
 func TestAuditedRoundsPass(t *testing.T) {
 	for _, s := range Stressers() {
 		s := s
@@ -42,8 +42,7 @@ func TestAuditedRoundsPass(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
 				rep, err := workload.RunRound(s, workload.StressConfig{
-					Procs: 2, Ops: 20, Crashes: 25, Seed: 1, Shared: shared,
-					Audit: true, ArtifactDir: dir,
+					Procs: 2, Ops: 20, Crashes: 25, Seed: 1, Shared: shared, ArtifactDir: dir,
 				})
 				if err != nil {
 					if arts, _ := filepath.Glob(filepath.Join(dir, "history-*.json")); len(arts) > 0 {
@@ -79,8 +78,7 @@ func TestLongExposureRoundFitsRecorder(t *testing.T) {
 	}
 	for _, shared := range []bool{false, true} {
 		rep, err := workload.RunRound(s, workload.StressConfig{
-			Procs: 1, Crashes: 2000, Seed: 3, Shared: shared,
-			Audit: true, ArtifactDir: t.TempDir(),
+			Procs: 1, Crashes: 2000, Seed: 3, Shared: shared, ArtifactDir: t.TempDir(),
 		})
 		if err != nil {
 			t.Fatalf("shared=%v: %v", shared, err)
@@ -93,10 +91,11 @@ func TestLongExposureRoundFitsRecorder(t *testing.T) {
 	}
 }
 
-// benchRound runs one pstack crash-stress round, the heaviest audited
-// family; `go test -run '^$' -bench CrashStress ./internal/harness`
-// measures the recorder's end-to-end overhead (audit off vs on).
-func benchRound(b *testing.B, audit bool) {
+// BenchmarkCrashStressAuditOn runs one audited pstack crash-stress
+// round, the heaviest audited family: `go test -run '^$' -bench
+// CrashStress ./internal/harness` measures a round end to end,
+// recording and audit included.
+func BenchmarkCrashStressAuditOn(b *testing.B) {
 	s, ok := Stresser("pstack")
 	if !ok {
 		b.Fatal("no pstack stresser")
@@ -105,8 +104,7 @@ func benchRound(b *testing.B, audit bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := workload.RunRound(s, workload.StressConfig{
-			Procs: 4, Ops: 200, Crashes: 250, Seed: 1, Shared: true,
-			Audit: audit, ArtifactDir: b.TempDir(),
+			Procs: 4, Ops: 200, Crashes: 250, Seed: 1, Shared: true, ArtifactDir: b.TempDir(),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -115,6 +113,3 @@ func benchRound(b *testing.B, audit bool) {
 	}
 	b.ReportMetric(float64(ops)/b.Elapsed().Seconds(), "ops/s")
 }
-
-func BenchmarkCrashStressAuditOff(b *testing.B) { benchRound(b, false) }
-func BenchmarkCrashStressAuditOn(b *testing.B)  { benchRound(b, true) }

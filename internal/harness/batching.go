@@ -2,7 +2,6 @@ package harness
 
 import (
 	"math/rand"
-	"time"
 
 	"delayfree/internal/capsule"
 	"delayfree/internal/ingress"
@@ -58,178 +57,132 @@ func packedGeom(T int, perProducer uint64, batchMax int) (segNodes, nseg uint32)
 // chainApplier is a queue or stack batch applier over a packed pool.
 type chainApplier = func(c *capsule.Ctx, vals []uint64)
 
-// chainEnv is what runChainBatched hands a structure constructor.
-type chainEnv struct {
-	mem   *pmem.Memory
-	space rcas.CasSpace
-	arena *qnode.Arena
-	P     int
-	setup *pmem.Port
-	seed  uint32 // initial contents
-}
-
 func runQueueBatched(cfg Config) Result {
-	return runChainBatched(ingress.OpEnqueue, seedNodes(cfg), cfg,
-		func(e chainEnv) func(*qnode.PackedPool) chainApplier {
+	seed := seedNodes(cfg)
+	return runChainBatched(cfg, ingress.OpEnqueue, seed,
+		func(mem *pmem.Memory, arena *qnode.Arena, np *qnode.PackedPool) chainApplier {
 			q := pqueue.NewGeneral(pqueue.Config{
-				Mem: e.mem, Space: e.space, Arena: e.arena, P: e.P, Durable: true, Opt: true,
+				Mem: mem, Space: rcas.NewSpace(mem, cfg.Threads+1), Arena: arena, P: cfg.Threads + 1, Durable: true, Opt: true,
 			})
-			q.Init(e.setup, pqueue.DummyNode+e.seed)
-			if e.seed > 0 {
-				q.Seed(e.setup, pqueue.DummyNode+1, e.seed, func(i uint32) uint64 { return uint64(i) })
+			setup := mem.NewPort()
+			q.Init(setup, pqueue.DummyNode+seed)
+			if seed > 0 {
+				q.Seed(setup, pqueue.DummyNode+1, seed, func(i uint32) uint64 { return uint64(i) })
 			}
-			return func(np *qnode.PackedPool) chainApplier { return pqueue.BatchEnqueuer(q, np) }
+			return pqueue.BatchEnqueuer(q, np)
 		})
 }
 
 func runStackBatched(cfg Config) Result {
-	return runChainBatched(ingress.OpPush, uint32(cfg.Param("stack-seed")), cfg,
-		func(e chainEnv) func(*qnode.PackedPool) chainApplier {
+	seed := uint32(cfg.Param("stack-seed"))
+	return runChainBatched(cfg, ingress.OpPush, seed,
+		func(mem *pmem.Memory, arena *qnode.Arena, np *qnode.PackedPool) chainApplier {
 			s := pstack.New(pstack.Config{
-				Mem: e.mem, Space: e.space, Arena: e.arena, P: e.P, Durable: true, Opt: true,
+				Mem: mem, Space: rcas.NewSpace(mem, cfg.Threads+1), Arena: arena, P: cfg.Threads + 1, Durable: true, Opt: true,
 			})
-			s.Init(e.setup, 1+e.seed)
-			if e.seed > 0 {
-				s.Seed(e.setup, 1, e.seed, func(i uint32) uint64 { return uint64(i) })
+			setup := mem.NewPort()
+			s.Init(setup, 1+seed)
+			if seed > 0 {
+				s.Seed(setup, 1, seed, func(i uint32) uint64 { return uint64(i) })
 			}
-			return func(np *qnode.PackedPool) chainApplier { return pstack.BatchPusher(s, np) }
+			return pstack.BatchPusher(s, np)
 		})
 }
 
 // runChainBatched is the one runner of the two chain-batched kinds,
-// which differ only in the structure (build constructs and seeds it,
-// then yields the applier over the combiner's packed pool) and the op
-// code producers publish.
-func runChainBatched(op uint8, seed uint32, cfg Config,
-	build func(chainEnv) func(*qnode.PackedPool) chainApplier) Result {
+// which differ only in the structure (build constructs and seeds it
+// with seed nodes, then yields its applier over the combiner's packed
+// pool) and the op code producers publish.
+func runChainBatched(cfg Config, op uint8, seed uint32,
+	build func(mem *pmem.Memory, arena *qnode.Arena, np *qnode.PackedPool) chainApplier) Result {
 	batchMax := int(cfg.Param("batch-max"))
-	T := cfg.Threads
-	P := T + 1
 	perProducer := uint64(cfg.Pairs) * 2
-
 	// The combiner allocates exclusively from its packed pool
 	// (qnode.PackedNodesPerLine nodes per line); the base arena holds
 	// only the dummy and the seeded contents.
-	segNodes, nseg := packedGeom(T, perProducer, batchMax)
-	arenaCap := seed + 8
-	words := uint64(arenaCap+8)*pmem.WordsPerLine +
-		qnode.PackedWords(segNodes, nseg) +
-		uint64(P)*capsule.ProcWords + 1<<16
-	mem := pmem.New(pmem.Config{
-		Words:      words,
-		Mode:       pmem.Shared,
-		FlushDelay: cfg.FlushDelay,
-		FenceDelay: cfg.FenceDelay,
-	})
-	rt := proc.NewRuntime(mem, P)
-	arena := qnode.NewArena(mem, arenaCap)
-	applier := build(chainEnv{mem: mem, space: rcas.NewSpace(mem, P), arena: arena, P: P, setup: mem.NewPort(), seed: seed})
-
-	pool := ingress.NewPool(1, ringCapacity(batchMax), batchMax, T)
-	reg := capsule.NewRegistry()
-	bases := capsule.AllocProcAreas(mem, P)
-	apply := applier(qnode.NewPackedPool(mem, arena, segNodes, nseg, P))
-	comb := ingress.RegisterGroupCombiner(reg, "combine-0", pool, 0,
-		ingress.ChainApplier(batchMax, apply), nil)
-	capsule.Install(rt.Proc(T).Mem(), bases[T], reg, comb)
-
-	start := time.Now()
-	rt.RunToCompletion(func(i int) proc.Program {
-		if i >= T {
-			return func(p *proc.Proc) {
-				capsule.NewMachine(p, reg, bases[i]).Run()
-			}
-		}
-		return func(p *proc.Proc) {
-			ring := pool.Shard(0).Ring
-			spin := func() { p.Step() }
+	segNodes, nseg := packedGeom(cfg.Threads, perProducer, batchMax)
+	mem, rt := newMachine(cfg, cfg.Threads+1, uint64(seed+16)*pmem.WordsPerLine+qnode.PackedWords(segNodes, nseg))
+	arena := qnode.NewArena(mem, seed+8)
+	apply := build(mem, arena, qnode.NewPackedPool(mem, arena, segNodes, nseg, cfg.Threads+1))
+	return runBatched(cfg, mem, rt, capsule.NewRegistry(), "combine-0", ingress.ChainApplier(batchMax, apply), nil,
+		func(p *proc.Proc, publish func(ingress.Record)) {
 			for k := uint64(0); k < perProducer; k++ {
-				ring.Publish(ingress.Record{Op: op, Pid: int32(i), A: uint64(i)<<40 | k}, spin)
-				p.Step()
+				publish(ingress.Record{Op: op, A: uint64(p.ID())<<40 | k})
 			}
-			pool.MarkDone(i)
-		}
-	})
-	return collect(cfg, rt, start)
+		})
 }
 
 func runMapBatched(cfg Config) Result {
-	batchMax := int(cfg.Param("batch-max"))
 	T := cfg.Threads
-	P := T + 1
 	keys := int(cfg.Param("map-keys"))
 	buckets := 2 * keys
 	readPct := int(cfg.Param("read-pct"))
-	ops := cfg.Pairs * 2
 	// The group-commit window is pmap.DefaultBatchWindow: at 2048 swings
 	// per close fence the batching figure measured pmap-batched-b64 at 4
 	// threads at 0.508 eff-flush/op, against 2.016 before the tier
 	// (BENCH_7.json, BENCH_7_before.json). No figure point varies it.
 	window := pmap.DefaultBatchWindow
-
-	words := pmap.BatchWords(buckets, 1, P, 1, 0, window) +
-		uint64(P)*capsule.ProcWords + uint64(keys)*4 + 1<<16
-	mem := pmem.New(pmem.Config{
-		Words:      words,
-		Mode:       pmem.Shared,
-		FlushDelay: cfg.FlushDelay,
-		FenceDelay: cfg.FenceDelay,
-	})
-	rt := proc.NewRuntime(mem, P)
-	initial := make(map[uint64]uint64, keys)
-	for k := 1; k <= keys; k++ {
-		initial[uint64(k)] = uint64(k)
-	}
+	mem, rt := newMachine(cfg, T+1, pmap.BatchWords(buckets, 1, T+1, 1, 0, window)+uint64(keys)*4)
 	m := pmap.New(pmap.Config{
-		Mem: mem, P: P, Buckets: buckets, Shards: 1, Opt: true, Durable: true,
+		Mem: mem, P: T + 1, Buckets: buckets, Shards: 1, Opt: true, Durable: true,
 		BatchCombiners: 1, BatchWindow: window,
 	})
-	setup := mem.NewPort()
-	m.Init(setup, initial)
+	m.Init(mem.NewPort(), prefill(keys))
 	m.Bind(rt)
-	apply, closeWindow := pmap.NewBatchApplier(m).GroupApply(batchMax)
-
-	pool := ingress.NewPool(1, ringCapacity(batchMax), batchMax, T)
+	apply, closeWindow := pmap.NewBatchApplier(m).GroupApply(int(cfg.Param("batch-max")))
 	reg := capsule.NewRegistry()
 	m.Register(reg)
-	bases := capsule.AllocProcAreas(mem, P)
-	comb := ingress.RegisterGroupCombiner(reg, "combine-m0", pool, 0, apply, closeWindow)
-	capsule.Install(rt.Proc(T).Mem(), bases[T], reg, comb)
-	for i := 0; i < T; i++ {
-		capsule.InstallIdle(rt.Proc(i).Mem(), bases[i], reg, m.Routine())
-	}
-
-	start := time.Now()
-	rt.RunToCompletion(func(i int) proc.Program {
-		if i >= T {
-			return func(p *proc.Proc) {
-				capsule.NewMachine(p, reg, bases[i]).Run()
-			}
-		}
-		return func(p *proc.Proc) {
+	bases := idle(mem, rt, T, reg, m.Routine())
+	return runBatched(cfg, mem, rt, reg, "combine-m0", apply, closeWindow,
+		func(p *proc.Proc, publish func(ingress.Record)) {
 			// Reads ride the fast lane inline; writes go through the
 			// ring to the one combiner.
-			mach := capsule.NewMachine(p, reg, bases[i])
-			rng := rand.New(rand.NewSource(int64(i) + 1))
-			spin := func() { p.Step() }
-			for n := 0; n < ops; n++ {
+			get := pmapOps(m, capsule.NewMachine(p, reg, bases[p.ID()])).get
+			rng := rand.New(rand.NewSource(int64(p.ID()) + 1))
+			for n := 0; n < cfg.Pairs*2; n++ {
 				k := uint64(rng.Intn(keys) + 1)
 				if rng.Intn(100) < readPct {
-					mach.Invoke(m.Routine(), m.GetEntry(), k)
+					get(k)
 					continue
 				}
-				rec := ingress.Record{Pid: int32(i), A: k}
+				rec := ingress.Record{A: k}
 				if n%3 == 1 {
 					rec.Op = ingress.OpDelete
 				} else {
 					rec.Op = ingress.OpPut
 					rec.B = uint64(n)
 				}
-				pool.Shard(0).Ring.Publish(rec, spin)
-				p.Step()
+				publish(rec)
 			}
+		})
+}
+
+// runBatched is the timed run of every batched kind: the cfg.Threads
+// producers each run produce, whose publish puts a record on the one
+// ring (stepping while the ring is full, and once after each record)
+// before the producer is marked done; process cfg.Threads runs the
+// combiner, registered in reg under name over apply and closeWindow.
+func runBatched(cfg Config, mem *pmem.Memory, rt *proc.Runtime, reg *capsule.Registry, name string,
+	apply ingress.GroupApply, closeWindow func(*capsule.Ctx), produce func(p *proc.Proc, publish func(ingress.Record))) Result {
+	T := cfg.Threads
+	batchMax := int(cfg.Param("batch-max"))
+	pool := ingress.NewPool(1, ringCapacity(batchMax), batchMax, T)
+	comb := ingress.RegisterGroupCombiner(reg, name, pool, 0, apply, closeWindow)
+	base := capsule.AllocProcAreas(mem, 1)[0]
+	capsule.Install(rt.Proc(T).Mem(), base, reg, comb)
+	return timed(cfg, rt, func(i int) proc.Program {
+		if i == T {
+			return func(p *proc.Proc) { capsule.NewMachine(p, reg, base).Run() }
+		}
+		return func(p *proc.Proc) {
+			ring := pool.Shard(0).Ring
+			spin := func() { p.Step() }
+			produce(p, func(rec ingress.Record) {
+				rec.Pid = int32(i)
+				ring.Publish(rec, spin)
+				p.Step()
+			})
 			pool.MarkDone(i)
 		}
 	})
-	return collect(cfg, rt, start)
 }

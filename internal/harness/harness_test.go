@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"delayfree/internal/pmem"
 	"delayfree/internal/workload"
 )
 
@@ -319,6 +320,50 @@ func TestPersistenceCostOrdering(t *testing.T) {
 	if res[KindPStackOpt].FlushesPerOp() >= res[KindPStack].FlushesPerOp() {
 		t.Fatalf("pstack-opt flushes %f >= pstack %f",
 			res[KindPStackOpt].FlushesPerOp(), res[KindPStack].FlushesPerOp())
+	}
+}
+
+// TestUnbatchedCostsExact pins every counter of every unbatched kind at
+// one thread: the runs are deterministic there (one process, seeded
+// operation streams, pre-filled maps laid out in key order), so any
+// change to what a kind's run does, down to one extra read, shows
+// here. A refactor of the runners must leave this table as it is; a
+// change that means to move a cost updates the row and says why. The
+// batched kinds are not pinned: their combiner races the producers.
+func TestUnbatchedCostsExact(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Threads = 1
+	type c = pmem.Stats
+	pins := map[string]c{
+		KindMSQ:            {Reads: 2700, Writes: 600, CASes: 900, Steps: 4200},
+		KindIzraMSQ:        {Reads: 2700, Writes: 600, CASes: 900, Flushes: 4200, LinesPersisted: 4200, Drains: 4200, Fences: 4200, Steps: 4200},
+		KindGeneralIzra:    {Reads: 3928, Writes: 6303, CASes: 1498, Flushes: 16531, CoalescedFlushes: 1800, LinesPersisted: 14730, Drains: 14129, Fences: 14129, Boundaries: 900, Steps: 18931},
+		KindNormalizedIzra: {Reads: 4228, Writes: 5403, CASes: 1199, Flushes: 15032, CoalescedFlushes: 1800, LinesPersisted: 13231, Drains: 12630, Fences: 12630, Boundaries: 600, Steps: 16832},
+		KindGeneral:        {Reads: 3928, Writes: 6303, CASes: 1498, Flushes: 9598, CoalescedFlushes: 3897, LinesPersisted: 5700, Drains: 5398, Fences: 3900, Boundaries: 900, Steps: 25227},
+		KindGeneralOpt:     {Reads: 3911, Writes: 9604, CASes: 1498, Flushes: 6598, CoalescedFlushes: 2097, LinesPersisted: 4500, Drains: 4198, Fences: 2700, Boundaries: 900, Steps: 24311},
+		KindNormalized:     {Reads: 4228, Writes: 5403, CASes: 1199, Flushes: 8100, CoalescedFlushes: 3598, LinesPersisted: 4501, Drains: 4199, Fences: 3300, Boundaries: 600, Steps: 22230},
+		KindNormalizedOpt:  {Reads: 4211, Writes: 6904, CASes: 1199, Flushes: 5400, CoalescedFlushes: 1798, LinesPersisted: 3601, Drains: 3299, Fences: 2100, Boundaries: 600, Steps: 19814},
+		KindLogQueue:       {Reads: 5400, Writes: 5400, CASes: 1200, Flushes: 6600, CoalescedFlushes: 3600, LinesPersisted: 3000, Drains: 3000, Fences: 3000, Steps: 21600},
+		KindRomulus:        {Reads: 13500, Writes: 17100, Flushes: 4800, LinesPersisted: 4800, Drains: 3000, Fences: 3000, Steps: 38400},
+		KindMapVolatile:    {Reads: 1316, Writes: 195, CASes: 70, Steps: 1581},
+		KindPmap:           {Reads: 5212, Writes: 4, CASes: 865, Flushes: 532, LinesPersisted: 532, Drains: 531, Fences: 1, BoundariesElided: 265, Steps: 6614},
+		KindPmapSharded:    {Reads: 5521, Writes: 4, CASes: 865, Flushes: 532, LinesPersisted: 532, Drains: 531, Fences: 1, BoundariesElided: 265, Steps: 6923},
+		KindStackVolatile:  {Reads: 1200, Writes: 600, CASes: 600, Steps: 2400},
+		KindPStack:         {Reads: 1830, Writes: 4204, CASes: 1199, Flushes: 5701, CoalescedFlushes: 2099, LinesPersisted: 3601, Drains: 2699, Fences: 1500, Boundaries: 600, Steps: 14434},
+		KindPStackOpt:      {Reads: 1813, Writes: 6005, CASes: 1199, Flushes: 3301, CoalescedFlushes: 599, LinesPersisted: 2701, Drains: 2400, Fences: 1201, Boundaries: 600, Steps: 13519},
+	}
+	for _, b := range Kinds() {
+		if b.Kind == KindQueueBatched || b.Kind == KindStackBatched || b.Kind == KindMapBatched {
+			continue
+		}
+		want, ok := pins[b.Kind]
+		if !ok {
+			t.Errorf("%s: no pinned costs", b.Kind)
+			continue
+		}
+		if got := run(t, b.Kind, cfg).Stats; got != want {
+			t.Errorf("%s:\n got %+v\nwant %+v", b.Kind, got, want)
+		}
 	}
 }
 

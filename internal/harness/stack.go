@@ -2,10 +2,8 @@ package harness
 
 import (
 	"delayfree/internal/capsule"
-	"delayfree/internal/pmem"
 	"delayfree/internal/proc"
 	"delayfree/internal/pstack"
-	"delayfree/internal/qnode"
 	"delayfree/internal/rcas"
 )
 
@@ -26,24 +24,9 @@ const (
 	KindPStackOpt     = "pstack-opt"
 )
 
-// stackMem sizes a fast-mode memory and arena for a stack-family run.
-func stackMem(cfg Config) (*pmem.Memory, *qnode.Arena, uint32) {
-	seed := uint32(cfg.Param("stack-seed"))
-	arenaCap := seed + 8192*uint32(cfg.Threads)
-	words := uint64(arenaCap+8)*pmem.WordsPerLine +
-		uint64(cfg.Threads)*capsule.ProcWords + 1<<16
-	mem := pmem.New(pmem.Config{
-		Words:      words,
-		Mode:       pmem.Shared,
-		FlushDelay: cfg.FlushDelay,
-		FenceDelay: cfg.FenceDelay,
-	})
-	return mem, qnode.NewArena(mem, arenaCap), seed
-}
-
 func runVolatileStack(cfg Config) Result {
-	mem, arena, seed := stackMem(cfg)
-	rt := proc.NewRuntime(mem, cfg.Threads)
+	seed := uint32(cfg.Param("stack-seed"))
+	mem, rt, arena := newArenaMachine(cfg, seed, false)
 	setup := mem.NewPort()
 	s := pstack.NewVolatile(mem, setup, arena)
 	if seed > 0 {
@@ -60,8 +43,8 @@ func runVolatileStack(cfg Config) Result {
 }
 
 func runPStack(cfg Config, opt bool) Result {
-	mem, arena, seed := stackMem(cfg)
-	rt := proc.NewRuntime(mem, cfg.Threads)
+	seed := uint32(cfg.Param("stack-seed"))
+	mem, rt, arena := newArenaMachine(cfg, seed, false)
 	s := pstack.New(pstack.Config{
 		Mem:     mem,
 		Space:   rcas.NewSpace(mem, cfg.Threads),
@@ -72,22 +55,10 @@ func runPStack(cfg Config, opt bool) Result {
 	})
 	reg := capsule.NewRegistry()
 	s.Register(reg)
-	bases := capsule.AllocProcAreas(mem, cfg.Threads)
 	setup := mem.NewPort()
 	s.Init(setup, seed)
 	if seed > 0 {
 		s.Seed(setup, 1, seed, func(i uint32) uint64 { return uint64(i) })
 	}
-	for i := 0; i < cfg.Threads; i++ {
-		capsule.InstallIdle(rt.Proc(i).Mem(), bases[i], reg, s.Routine())
-	}
-	// As with the queues, the benchmark loop itself is not encapsulated
-	// (the paper's methodology); each operation is a recoverable Invoke.
-	return runPairs(cfg, rt, func(p *proc.Proc) func(uint64) {
-		m := capsule.NewMachine(p, reg, bases[p.ID()])
-		return func(v uint64) {
-			m.Invoke(s.Routine(), s.PushEntry(), v)
-			m.Invoke(s.Routine(), s.PopEntry())
-		}
-	})
+	return invokePairs(cfg, mem, rt, reg, s.Routine(), s.PushEntry(), s.Routine(), s.PopEntry())
 }

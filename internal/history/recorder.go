@@ -229,23 +229,3 @@ func (r *Recorder) Restart(proc int) {
 	}
 	r.append(proc, Event{Kind: EvRestart})
 }
-
-// Epochs returns the number of full-system crash markers recorded.
-func (r *Recorder) Epochs() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.epoch.Load()
-}
-
-// Events returns the total number of recorded events.
-func (r *Recorder) Events() int {
-	if r == nil {
-		return 0
-	}
-	n := len(r.crashes)
-	for _, l := range r.logs {
-		n += len(l)
-	}
-	return n
-}

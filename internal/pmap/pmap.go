@@ -48,6 +48,8 @@ package pmap
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"delayfree/internal/capsule"
 	"delayfree/internal/pmem"
@@ -241,14 +243,17 @@ func BatchWords(buckets, shards, P, combiners, extentLines, window int) uint64 {
 }
 
 // Init creates the segments, pre-loading the contents of initial (may
-// be nil). Must run quiescently before Register/Bind.
+// be nil). Keys are placed in ascending order, so the linear-probe
+// layout, and every later probe's cost, is the same on every run. Must
+// run quiescently before Register/Bind.
 func (m *Map) Init(port *pmem.Port, initial map[uint64]uint64) {
 	type kv struct{ k, v uint64 }
 	assign := make([]map[uint32]kv, m.shards)
 	for i := range assign {
 		assign[i] = map[uint32]kv{}
 	}
-	for k, v := range initial {
+	for _, k := range slices.Sorted(maps.Keys(initial)) {
+		v := initial[k]
 		checkKV(k, v)
 		si, start := m.locate(k)
 		placed := false

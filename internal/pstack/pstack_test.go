@@ -194,7 +194,7 @@ func TestConcurrentCrashStorm(t *testing.T) {
 // history recorder disabled (nil), a run of push-pop pairs through the
 // capsule machine must allocate exactly what a recorder-free twin driver
 // allocates — the audit instrumentation adds zero allocations when off,
-// since every non-audited stress round runs through this exact path.
+// as it is in every hand-built round (crash sweeps, the recovery probe).
 // (The shared baseline is ~1 alloc/pair from the Call args/ret slices,
 // which predates and is independent of the recorder.)
 func TestStressDriverDisabledRecorderAllocs(t *testing.T) {
@@ -207,7 +207,7 @@ func TestStressDriverDisabledRecorderAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs
 	}
-	withRec := mallocs(newPairEnv(t, 1, pairs, pmem.Private, 1, false, false).r.Machine(0)) // nil recorder = audit off
+	withRec := mallocs(newPairEnv(t, 1, pairs, pmem.Private, 1, false, false).r.Machine(0)) // nil recorder: hand-built round
 	// Twin of the pair driver with the recorder lines deleted.
 	e := newEnv(t, 1, pmem.Private, 1, false, false)
 	drv := e.reg.Register("pair-driver-norec", false,

@@ -197,7 +197,7 @@ func runRecycleStress(t *testing.T, shared bool) {
 	// Counter stays 0: a crashed batch is abandoned, so push IDs have
 	// holes and only the family's ordering checker applies.
 	rep, err := workload.RunRound(spec, workload.StressConfig{
-		Procs: P + 1, Crashes: quota, Seed: 23, Shared: shared, Audit: true, ArtifactDir: t.TempDir(),
+		Procs: P + 1, Crashes: quota, Seed: 23, Shared: shared, ArtifactDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -59,7 +59,9 @@ type Round struct {
 	Mem *pmem.Memory
 	RT  *proc.Runtime
 	Reg *capsule.Registry
-	// Rec is nil unless the round is audited (its methods are nil-safe).
+	// Rec records the round's history; RunRound always builds one. It
+	// is nil only in a Round built by hand (the recovery probe, tests),
+	// where its nil-safe methods record nothing.
 	Rec *history.Recorder
 	// KeepGoing reports whether the crash quota is still unmet; nil in
 	// a quota-less round. Drivers loop their scripts on it.
@@ -82,7 +84,7 @@ func (r *Round) Install(i int, drv capsule.RoutineID, args ...uint64) {
 type Hooks struct {
 	// Counter is the driver slot holding a process's committed-operation
 	// count, judged by the detectability cross-check; 0 skips that check
-	// (operation IDs with holes, see Audit).
+	// (operation IDs with holes, see audit).
 	Counter int
 	// Crash runs stopped-world at every full-system crash.
 	Crash func()
@@ -165,11 +167,9 @@ func RunRound(spec StressSpec, cfg StressConfig) (StressReport, error) {
 	if r.Crashes > 0 {
 		r.KeepGoing = func() bool { return crashEvents() < uint64(r.Crashes) }
 	}
-	if r.Audit {
-		// The recorder lives in host memory: it is the volatile ground
-		// truth the durable state is checked against.
-		r.Rec = history.NewRecorder(r.Procs)
-	}
+	// The recorder lives in host memory: it is the volatile ground
+	// truth the durable state is checked against.
+	r.Rec = history.NewRecorder(r.Procs)
 
 	h := spec.Build(r)
 	// The stopped-world crash hook is the one instant a global crash
@@ -236,20 +236,18 @@ func RunRound(spec StressSpec, cfg StressConfig) (StressReport, error) {
 	// Ordering audit first: when a round is broken the failing-history
 	// artifact must be written even if the checks below would reject
 	// the round on their own.
-	if r.Rec != nil {
-		var completed []uint64
-		if h.Counter != 0 {
-			completed = make([]uint64, r.Procs)
-			for i := range completed {
-				completed[i] = r.Machine(i).Detect(h.Counter).Completed
-			}
+	var completed []uint64
+	if h.Counter != 0 {
+		completed = make([]uint64, r.Procs)
+		for i := range completed {
+			completed[i] = r.Machine(i).Detect(h.Counter).Completed
 		}
-		hist := r.Rec.History()
-		hist.Final = final
-		meta := history.RunMeta{Stresser: spec.Name, Family: spec.Family, Seed: r.Seed, Shared: r.Shared, Procs: r.Procs}
-		if err := audit(spec.Checker, meta, r.ArtifactDir, hist, completed, report.Stats); err != nil {
-			return report, err
-		}
+	}
+	hist := r.Rec.History()
+	hist.Final = final
+	meta := history.RunMeta{Stresser: spec.Name, Family: spec.Family, Seed: r.Seed, Shared: r.Shared, Procs: r.Procs}
+	if err := audit(spec.Checker, meta, r.ArtifactDir, hist, completed, report.Stats); err != nil {
+		return report, err
 	}
 	locals := make([][]uint64, r.N)
 	for i := range locals {

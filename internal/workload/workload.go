@@ -207,12 +207,6 @@ type StressConfig struct {
 	// crashes; zero derives livelock-safe values from the geometry, and a
 	// nonzero MaxGap below MinGap is refused.
 	MinGap, MaxGap int64
-	// Audit enables history recording and the durable-linearizability
-	// ordering audit: the stresser records every operation, the round's
-	// crashes, and the recovered final state, then runs its spec's
-	// Checker plus the detectability cross-check. A violation fails the
-	// round and dumps a failing-history artifact.
-	Audit bool
 	// ArtifactDir is where a failing audit writes its artifact; empty
 	// selects the OS temp directory.
 	ArtifactDir string
