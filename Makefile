@@ -21,7 +21,7 @@ examples:
 
 race:
 	go test -race -short ./...
-	go test -race -count=1 ./internal/history ./internal/ingress
+	go test -race -count=1 ./internal/history ./internal/ingress ./internal/pmem
 	go test -race -count=10 -run 'TestRing' ./internal/ingress
 
 # loc prints the non-blank, non-comment source line count outside bench/,

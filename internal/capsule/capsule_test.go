@@ -1,6 +1,7 @@
 package capsule
 
 import (
+	"slices"
 	"testing"
 
 	"delayfree/internal/pmem"
@@ -550,6 +551,65 @@ func TestInstallOneFence(t *testing.T) {
 		}
 		if got := costOf(port, func() { InstallIdle(port, e.base, e.reg, e.main) }); got.fences != 1 {
 			t.Fatalf("compact=%v: InstallIdle cost %+v, want one fence", compact, got)
+		}
+	}
+}
+
+// TestInstallOverFinishedRun re-installs a routine over an area whose
+// earlier run finished, with fewer arguments than that run had, after
+// one boundary and after two (so the finished compact frame's newer
+// line is the pong line in one case and the ping line in the other).
+// Recovery must see exactly the new install: pc 0 with the new argument
+// and every other slot zero, and InstallIdle the completed state with
+// every slot zero.
+func TestInstallOverFinishedRun(t *testing.T) {
+	for _, compact := range []bool{false, true} {
+		for _, n := range []uint64{1, 2} {
+			mem := pmem.New(pmem.Config{Words: 1 << 14, Mode: pmem.Shared, Checked: true, Seed: 1})
+			rt := proc.NewRuntime(mem, 1)
+			base := AllocProcAreas(mem, 1)[0]
+			reg := NewRegistry()
+			// Slots: 1 iterations left, 2 accumulator, 5 step (a full
+			// frame keeps copy 0 of slot 5 on a line of its own).
+			sum := reg.Register("sum", compact, func(c *Ctx) {
+				if c.Local(1) == 0 {
+					c.Finish(c.Local(2))
+					return
+				}
+				c.SetLocal(2, c.Local(2)+c.Local(5))
+				c.SetLocal(1, c.Local(1)-1)
+				c.Boundary(0)
+			})
+			run := func() []uint64 {
+				var rets []uint64
+				rt.RunToCompletion(func(int) proc.Program {
+					return func(p *proc.Proc) { rets = NewMachine(p, reg, base).Run() }
+				})
+				return rets
+			}
+			port := rt.Proc(0).Mem()
+			Install(port, base, reg, sum, n, 70, 0, 0, 5)
+			if rets := run(); len(rets) != 1 || rets[0] != 70+5*n {
+				t.Fatalf("compact=%v n=%d: first run returned %v, want [%d]", compact, n, rets, 70+5*n)
+			}
+			for _, idle := range []bool{true, false} {
+				want, wantPC := make([]uint64, MaxSlots), PCDone
+				if idle {
+					InstallIdle(port, base, reg, sum)
+				} else {
+					Install(port, base, reg, sum, 3)
+					want[1], wantPC = 3, 0
+				}
+				mem.CrashLossy(false) // whatever install left unpersisted is lost
+				if depth, pc, locals := NewMachine(rt.Proc(0), reg, base).LoadState(); depth != 0 || pc != wantPC || !slices.Equal(locals, want) {
+					t.Fatalf("compact=%v n=%d idle=%v: re-installed frame at depth %d pc %d with locals %v, want depth 0 pc %d with %v",
+						compact, n, idle, depth, pc, locals, wantPC, want)
+				}
+			}
+			Install(port, base, reg, sum, 3)
+			if rets := run(); len(rets) != 1 || rets[0] != 0 {
+				t.Fatalf("compact=%v n=%d: re-installed run returned %v, want [0]", compact, n, rets)
+			}
 		}
 	}
 }

@@ -134,55 +134,66 @@ func (m *Machine) checkedMode() bool { return m.mem.Memory().Config().Checked }
 
 // Install initializes the persistent capsule area so that the process
 // will begin executing routine rid with the given arguments (placed in
-// slots 1..len(args)). Must run before the process program starts (or
-// between runs); it is not crash-safe itself.
+// slots 1..len(args), every other slot zero). Must run before the
+// process program starts (or between runs); it is not crash-safe
+// itself.
 func Install(port *pmem.Port, base pmem.Addr, reg *Registry, rid RoutineID, args ...uint64) {
-	r := reg.Routine(rid)
-	fr := frameAddr(base, 0)
-	port.Write(fr+frameHdrOff, uint64(rid))
-	port.Write(fr+framePendingOff, 0)
-	if r.Compact {
-		if len(args) >= MaxCompactSlots {
-			panic("capsule: too many args for compact frame")
-		}
-		ln := compactLine(fr, 0)
-		port.Write(ln+SeqSlot, 0)
-		for k, a := range args {
-			port.Write(ln+pmem.Addr(1+k), a)
-		}
-		port.Write(ln+compactCtlOff, packCompact(0, 0))
-		port.Flush(ln)
-	} else {
-		if len(args) >= MaxSlots {
-			panic("capsule: too many args for frame")
-		}
-		port.Write(slotAddr(fr, SeqSlot, 0), 0)
-		for k, a := range args {
-			port.Write(slotAddr(fr, 1+k, 0), a)
-		}
-		port.Write(fr+frameCtlOff, packCtl(0, 0))
-		port.FlushRange(fr, FrameWords)
-	}
-	port.Flush(fr)
-	port.Fence()
+	install(port, base, reg, rid, 0, args)
 }
 
 // InstallIdle initializes a process's capsule area with routine rid in
 // the completed state: nothing to resume, ready for Machine.Invoke.
 func InstallIdle(port *pmem.Port, base pmem.Addr, reg *Registry, rid RoutineID) {
+	install(port, base, reg, rid, PCDone, nil)
+}
+
+// install writes frame 0 of a capsule area, fresh or left by an earlier
+// run: the header, a clear pending word, copy 0 of every slot (sequence
+// number 0, the arguments, then zeros) and the control word at pc with
+// epoch 0 or an all-copy-0 mask. A compact frame's pong control word is
+// zeroed too, or its higher epoch would win recovery over the install.
+// The words past the arguments are written only where they are not
+// already zero, so installing on a fresh area costs what it always did;
+// install runs at quiescence, when the area's visible words are its
+// durable ones.
+func install(port *pmem.Port, base pmem.Addr, reg *Registry, rid RoutineID, pc int, args []uint64) {
 	r := reg.Routine(rid)
 	fr := frameAddr(base, 0)
+	nslots, slot := MaxSlots, func(s int) pmem.Addr { return slotAddr(fr, s, 0) }
+	if r.Compact {
+		nslots, slot = MaxCompactSlots, func(s int) pmem.Addr { return compactLine(fr, 0) + pmem.Addr(s) }
+	}
+	if len(args) >= nslots {
+		panic("capsule: too many args for frame")
+	}
 	port.Write(fr+frameHdrOff, uint64(rid))
 	port.Write(fr+framePendingOff, 0)
+	written := []pmem.Addr{slot(SeqSlot)}
+	port.Write(slot(SeqSlot), 0)
+	for s := 1; s < nslots; s++ {
+		switch a := slot(s); {
+		case s <= len(args):
+			port.Write(a, args[s-1])
+		case port.Memory().VisibleWord(a) != 0:
+			port.Write(a, 0)
+			written = append(written, a)
+		}
+	}
 	if r.Compact {
 		ln := compactLine(fr, 0)
-		port.Write(ln+SeqSlot, 0)
-		port.Write(ln+compactCtlOff, packCompact(PCDone, 0))
+		port.Write(ln+compactCtlOff, packCompact(pc, 0))
 		port.Flush(ln)
+		if pong := compactLine(fr, 1) + compactCtlOff; port.Memory().VisibleWord(pong) != 0 {
+			port.Write(pong, 0)
+			port.Flush(pong)
+		}
 	} else {
-		port.Write(slotAddr(fr, SeqSlot, 0), 0)
-		port.Write(fr+frameCtlOff, packCtl(PCDone, 0))
-		port.FlushAddrs(slotAddr(fr, SeqSlot, 0), fr+frameCtlOff)
+		port.Write(fr+frameCtlOff, packCtl(pc, 0))
+		if pc == PCDone {
+			port.FlushAddrs(append(written, fr+frameCtlOff)...)
+		} else {
+			port.FlushRange(fr, FrameWords)
+		}
 	}
 	port.Flush(fr)
 	port.Fence()

@@ -21,9 +21,14 @@
 //
 // Two operating modes trade fidelity for speed:
 //
-//   - Checked mode keeps a shadow persisted image and per-line write
-//     logs so crashes can be materialized. Used by tests.
-//   - Fast mode keeps no shadow state; Flush/Fence only update counters
+//   - Checked mode can materialize crashes. In the shared model each
+//     line keeps an undo log of the writes since it was last persisted:
+//     the visible word holds the newest value, the log the value each
+//     write replaced, so the durable image is the visible one with the
+//     logs undone and needs no second copy of memory. In the private
+//     model every write is durable at once, so no line state is kept.
+//     Used by tests and crash benchmarks.
+//   - Fast mode keeps no line state; Flush/Fence only update counters
 //     and optionally spin for a calibrated latency so that benchmark
 //     throughput reflects persistence work, as on real NVM. Used by
 //     benchmarks. Crashes are not supported in fast mode.
@@ -84,9 +89,9 @@ type Config struct {
 	Words uint64
 	// Mode selects the private (PPM) or shared (cache) model.
 	Mode Mode
-	// Checked enables the shadow persisted image and per-line write
-	// logs needed to materialize crashes. Required for crash testing;
-	// adds a per-write line lock.
+	// Checked enables the per-line undo logs needed to materialize
+	// crashes. Required for crash testing; in the shared model it adds
+	// a per-write line lock.
 	Checked bool
 	// FlushDelay is the number of spin iterations charged per Flush in
 	// fast mode, modeling NVM write-back latency. Zero means count
@@ -99,17 +104,18 @@ type Config struct {
 	Seed int64
 }
 
-// writeRec is one logged write to a cache line since it was last
-// persisted (checked shared mode only).
-type writeRec struct {
+// undoRec is one write to a cache line since it was last persisted
+// (checked shared mode only): the word it changed and the value it
+// replaced.
+type undoRec struct {
 	off uint8 // word offset within the line
-	val uint64
+	old uint64
 }
 
-// line is the per-cache-line tracking state (checked mode only).
+// line is the per-cache-line tracking state (checked shared mode only).
 type line struct {
 	mu  sync.Mutex
-	log []writeRec
+	log []undoRec // oldest first
 	// queued marks the line as present in the memory's dirty-line
 	// index (guarded by mu). Set on the first log append after the
 	// line was last visited by a crash/scan walk; cleared only by the
@@ -125,9 +131,10 @@ type Memory struct {
 	cfg   Config
 	words []uint64 // current (cache-visible) contents; atomic access
 
-	// Checked-mode shadow state.
-	persisted []uint64 // durable image
-	lines     []line
+	// lines is the undo-log state of checked shared mode (nil
+	// otherwise): a line's durable words are its visible words with its
+	// log undone.
+	lines []line
 
 	// dirtyIdx indexes the lines whose queued flag is set: every line
 	// with unpersisted writes is in it (a superset — lazily compacted),
@@ -156,8 +163,7 @@ func New(cfg Config) *Memory {
 		cfg:   cfg,
 		words: make([]uint64, cfg.Words),
 	}
-	if cfg.Checked {
-		m.persisted = make([]uint64, cfg.Words)
+	if cfg.Checked && cfg.Mode == Shared {
 		m.lines = make([]line, cfg.Words/WordsPerLine)
 		m.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
@@ -216,28 +222,20 @@ func (m *Memory) load(a Addr) uint64 {
 	return atomic.LoadUint64(&m.words[a])
 }
 
-// store writes a word into the cache-visible image, logging it in
-// checked shared mode so a crash can replay a prefix.
+// store writes a word into the cache-visible image, logging the value
+// it replaces in checked shared mode so a crash can undo it.
 func (m *Memory) store(a Addr, v uint64) {
-	switch {
-	case !m.cfg.Checked:
+	if m.lines == nil {
 		atomic.StoreUint64(&m.words[a], v)
-	case m.cfg.Mode == Private:
-		// Private model: immediately durable.
-		ln := &m.lines[lineOf(a)]
-		ln.mu.Lock()
-		atomic.StoreUint64(&m.words[a], v)
-		atomic.StoreUint64(&m.persisted[a], v)
-		ln.mu.Unlock()
-	default:
-		li := lineOf(a)
-		ln := &m.lines[li]
-		ln.mu.Lock()
-		atomic.StoreUint64(&m.words[a], v)
-		ln.log = append(ln.log, writeRec{off: uint8(a & LineMask), val: v})
-		m.enqueueDirtyLocked(li, ln)
-		ln.mu.Unlock()
+		return
 	}
+	li := lineOf(a)
+	ln := &m.lines[li]
+	ln.mu.Lock()
+	old := atomic.SwapUint64(&m.words[a], v)
+	ln.log = append(ln.log, undoRec{off: uint8(a & LineMask), old: old})
+	m.enqueueDirtyLocked(li, ln)
+	ln.mu.Unlock()
 }
 
 // enqueueDirtyLocked adds the line to the dirty index on its first log
@@ -265,47 +263,32 @@ func (m *Memory) takeDirty() []uint64 {
 // cas performs a compare-and-swap on a word, with the same durability
 // treatment as store.
 func (m *Memory) cas(a Addr, old, new uint64) bool {
-	switch {
-	case !m.cfg.Checked:
+	if m.lines == nil {
 		return atomic.CompareAndSwapUint64(&m.words[a], old, new)
-	case m.cfg.Mode == Private:
-		ln := &m.lines[lineOf(a)]
-		ln.mu.Lock()
-		ok := atomic.CompareAndSwapUint64(&m.words[a], old, new)
-		if ok {
-			atomic.StoreUint64(&m.persisted[a], new)
-		}
-		ln.mu.Unlock()
-		return ok
-	default:
-		li := lineOf(a)
-		ln := &m.lines[li]
-		ln.mu.Lock()
-		ok := atomic.CompareAndSwapUint64(&m.words[a], old, new)
-		if ok {
-			ln.log = append(ln.log, writeRec{off: uint8(a & LineMask), val: new})
-			m.enqueueDirtyLocked(li, ln)
-		}
-		ln.mu.Unlock()
-		return ok
 	}
+	li := lineOf(a)
+	ln := &m.lines[li]
+	ln.mu.Lock()
+	ok := atomic.CompareAndSwapUint64(&m.words[a], old, new)
+	if ok {
+		ln.log = append(ln.log, undoRec{off: uint8(a & LineMask), old: old})
+		m.enqueueDirtyLocked(li, ln)
+	}
+	ln.mu.Unlock()
+	return ok
 }
 
-// flushLine persists the current contents of the line containing a.
-// In checked shared mode this copies the cache-visible words of the line
-// into the durable image and clears the line's write log. The paper's
-// flush (clflushopt) only takes effect at the next fence; the Port layer
-// models that by deferring flushLine calls until Fence.
+// flushLine persists the current contents of line li. In checked shared
+// mode the durable line is the visible line with its log undone, so
+// persisting it drops the log. The paper's flush (clflushopt) only
+// takes effect at the next fence; the Port layer models that by
+// deferring flushLine calls until Fence.
 func (m *Memory) flushLine(li uint64) {
-	if !m.cfg.Checked || m.cfg.Mode == Private {
+	if m.lines == nil {
 		return
 	}
 	ln := &m.lines[li]
 	ln.mu.Lock()
-	base := li * WordsPerLine
-	for off := uint64(0); off < WordsPerLine; off++ {
-		atomic.StoreUint64(&m.persisted[base+off], atomic.LoadUint64(&m.words[base+off]))
-	}
 	ln.log = ln.log[:0]
 	ln.mu.Unlock()
 }
@@ -326,54 +309,40 @@ func (m *Memory) delay(n int) {
 // Crash materializes a full-system crash (shared checked mode): every
 // line with unpersisted writes retains a uniformly random prefix of them
 // (per line, independently), modeling arbitrary eviction timing under
-// same-line TSO ordering; everything else reverts to the durable image.
-// The cache-visible image then becomes the durable image, as the caches
-// are lost. Callers must ensure no Port is concurrently accessing the
-// memory (the proc runtime stops all processes first).
+// same-line TSO ordering. The writes past the prefix are undone, newest
+// first, so the cache-visible image becomes the durable image, as the
+// caches are lost. Callers must ensure no Port is concurrently accessing
+// the memory (the proc runtime stops all processes first).
 //
 // In private mode Crash is a no-op on memory contents: persistent memory
 // is unaffected by crashes in the PPM model.
 func (m *Memory) Crash() {
+	m.crash(func(n int) int { return m.rng.Intn(n + 1) })
+}
+
+// CrashLossy is like Crash but keeps all pending writes of every dirty
+// line (evictAll=true, the "friendly" crash where all dirty lines were
+// evicted) or none of them (evictAll=false) — useful to test recovery
+// paths deterministically.
+func (m *Memory) CrashLossy(evictAll bool) {
+	m.crash(func(n int) int {
+		if evictAll {
+			return n
+		}
+		return 0
+	})
+}
+
+// crash keeps the first keep(n) of each dirty line's n logged writes
+// and undoes the rest. A line diverges from its durable state only
+// while its log is non-empty, and every such line is in the dirty
+// index — so the walk costs O(lines dirtied since the last crash), not
+// O(memory size).
+func (m *Memory) crash(keep func(n int) int) {
 	if !m.cfg.Checked {
 		panic("pmem: Crash requires Checked mode")
 	}
-	if m.cfg.Mode == Private {
-		return
-	}
-	m.crashMu.Lock()
-	defer m.crashMu.Unlock()
-	// A line diverges from the durable image only while it has
-	// unpersisted writes (stores log; flushLine syncs and clears), and
-	// every such line is in the dirty index — so the walk costs
-	// O(lines dirtied since the last crash), not O(memory size).
-	for _, li := range m.takeDirty() {
-		ln := &m.lines[li]
-		ln.mu.Lock()
-		ln.queued = false
-		if len(ln.log) > 0 {
-			k := m.rng.Intn(len(ln.log) + 1)
-			base := li * WordsPerLine
-			for _, w := range ln.log[:k] {
-				atomic.StoreUint64(&m.persisted[base+uint64(w.off)], w.val)
-			}
-			ln.log = ln.log[:0]
-			// The volatile cache is lost: visible state = durable state.
-			for off := uint64(0); off < WordsPerLine; off++ {
-				atomic.StoreUint64(&m.words[base+off], atomic.LoadUint64(&m.persisted[base+off]))
-			}
-		}
-		ln.mu.Unlock()
-	}
-}
-
-// CrashLossy is like Crash but uses evictAll to force every pending
-// write durable (evictAll=true, the "friendly" crash where all dirty
-// lines were evicted) — useful to test recovery paths deterministically.
-func (m *Memory) CrashLossy(evictAll bool) {
-	if !m.cfg.Checked {
-		panic("pmem: CrashLossy requires Checked mode")
-	}
-	if m.cfg.Mode == Private {
+	if m.lines == nil {
 		return
 	}
 	m.crashMu.Lock()
@@ -382,39 +351,49 @@ func (m *Memory) CrashLossy(evictAll bool) {
 		ln := &m.lines[li]
 		ln.mu.Lock()
 		ln.queued = false
-		if len(ln.log) > 0 { // clean lines already match the durable image
+		if n := len(ln.log); n > 0 {
 			base := li * WordsPerLine
-			if evictAll {
-				for _, w := range ln.log {
-					atomic.StoreUint64(&m.persisted[base+uint64(w.off)], w.val)
-				}
+			k := keep(n)
+			for i := n - 1; i >= k; i-- {
+				w := ln.log[i]
+				atomic.StoreUint64(&m.words[base+uint64(w.off)], w.old)
 			}
 			ln.log = ln.log[:0]
-			for off := uint64(0); off < WordsPerLine; off++ {
-				atomic.StoreUint64(&m.words[base+off], atomic.LoadUint64(&m.persisted[base+off]))
-			}
 		}
 		ln.mu.Unlock()
 	}
 }
 
-// PersistedWord returns the durable image of a word (checked mode). In
-// private checked mode the durable image always equals the visible image.
+// PersistedWord returns the durable value of a word (checked mode): the
+// value the first unpersisted write to it replaced, else the visible
+// value. In private checked mode every write is durable, so it is the
+// visible value.
 func (m *Memory) PersistedWord(a Addr) uint64 {
 	if !m.cfg.Checked {
 		panic("pmem: PersistedWord requires Checked mode")
 	}
-	return atomic.LoadUint64(&m.persisted[a])
+	if m.lines != nil {
+		ln := &m.lines[lineOf(a)]
+		ln.mu.Lock()
+		defer ln.mu.Unlock()
+		for _, w := range ln.log {
+			if uint64(w.off) == a&LineMask {
+				return w.old
+			}
+		}
+	}
+	return m.load(a)
 }
 
 // VisibleWord returns the current cache-visible value of a word without
-// charging statistics; intended for test assertions and debuggers.
+// charging statistics; intended for test assertions, debuggers and
+// quiescent setup code.
 func (m *Memory) VisibleWord(a Addr) uint64 { return m.load(a) }
 
 // DirtyLines returns the number of lines with unpersisted writes
 // (checked shared mode); useful in tests asserting flush placement.
 func (m *Memory) DirtyLines() int {
-	if !m.cfg.Checked || m.cfg.Mode == Private {
+	if m.lines == nil {
 		return 0
 	}
 	// Walk only the dirty index, compacting it as a side effect: lines

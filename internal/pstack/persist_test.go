@@ -299,6 +299,49 @@ func TestSpareReuseInvokeCrashSweep(t *testing.T) {
 	})
 }
 
+// TestFreedNodeNotSpareAfterCrashSweep pushes 1 and 2, pops both, and
+// pushes 3, 4 and 5 under Call. The first pop fills the spare, so the
+// second frees its node onto the persistent free list; a crash between
+// that free and the pop's Return re-runs the pop executor, which must
+// not also make the freed node the spare: push 3 would take it from the
+// spare and push 4 from the free list, linking it into the stack twice.
+func TestFreedNodeNotSpareAfterCrashSweep(t *testing.T) {
+	ops := []uint64{1, 2, 0, 0, 3, 4, 5} // 0 pops, v pushes v
+	sweepStack(t, func(mode pmem.Mode, seed, crashAt int64) (int64, error) {
+		e := newEnv(t, 1, mode, seed, true, mode == pmem.Shared)
+		drv := e.reg.Register("push-pop-driver", false,
+			func(c *capsule.Ctx) { // slot 1: operations done, 5: popped values as digits
+				switch i := c.Local(1); {
+				case i == uint64(len(ops)):
+					c.Finish()
+				case ops[i] == 0:
+					c.Call(e.s.Routine(), e.s.PopEntry(), 1, nil, []int{3, 4})
+				default:
+					c.Call(e.s.Routine(), e.s.PushEntry(), 2, []uint64{ops[i]}, nil)
+				}
+			},
+			func(c *capsule.Ctx) {
+				c.SetLocal(5, c.Local(5)*10+c.Local(4))
+				c.SetLocal(1, c.Local(1)+1)
+				c.Boundary(0)
+			},
+			func(c *capsule.Ctx) {
+				c.SetLocal(1, c.Local(1)+1)
+				c.Boundary(0)
+			},
+		)
+		locals, steps := runDriver(e, drv, crashAt)
+		if locals[5] != 21 {
+			return steps, fmt.Errorf("popped %d, want 2 then 1", locals[5])
+		}
+		got, err := drainSafe(e)
+		if err == nil && !slices.Equal(got, []uint64{5, 4, 3}) {
+			err = fmt.Errorf("stack %v, want [5 4 3]", got)
+		}
+		return steps, err
+	})
+}
+
 // TestSpareReuseFencesRemoval pins alloc's postcondition: after a depth-0
 // pop, whose completion is volatile and whose flush of the top cell is
 // still unfenced, a push gets the spare only once that removal is

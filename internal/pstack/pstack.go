@@ -307,9 +307,16 @@ func (s *Stack) popExec(c *capsule.Ctx) {
 // back to its pool (packed indices must never reach the free list, which
 // would reallocate them one per line), anything else onto the persistent
 // free list.
+//
+// A crash after the free-list push below re-runs the pop executor with
+// the spare now stale; the node must then stay where it went, not also
+// become the spare, or two pushes would allocate it.
 func (s *Stack) retire(c *capsule.Ctx, n uint32) {
 	pid := c.P().ID()
 	p := c.Mem()
+	if c.Crashed() && !s.arena.IsPacked(n) && s.pa[pid].FreeHead(p) == n {
+		return
+	}
 	if sp := &s.spare[pid]; (sp.n == 0 || sp.restarts != c.P().Restarts()) && !s.arena.IsPacked(n) {
 		*sp = spareNode{n: n, restarts: c.P().Restarts()}
 		return
